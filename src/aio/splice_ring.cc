@@ -52,10 +52,7 @@ void SpliceRing::AdmitGroup(std::vector<PreparedOp> group) {
     auto op = std::make_unique<Op>();
     op->sqe = prep.sqe;
     op->group = gid;
-    op->source = std::move(prep.source);
-    op->sink = std::move(prep.sink);
-    op->on_moved = std::move(prep.on_moved);
-    op->opts = prep.opts;
+    op->splice = std::move(prep.splice);
     op->submitted_at = cpu_->sim()->Now();
     op->span_owned = KspanOwned();
     op->span = KspanBegin(op->submitted_at, "aio.op", static_cast<int64_t>(op->sqe.cookie));
@@ -148,9 +145,9 @@ void SpliceRing::StartOp(Op* op) {
   // push the op span so the stream nests under this op.
   KspanScope scope("aio", op->span);
   SpliceDescriptor* d =
-      engine_->StartEx(std::move(op->source), std::move(op->sink), op->opts,
-                       [this, raw](const SpliceCompletion& c) { OnEngineComplete(raw, c); });
-  // The splice can run to completion inside StartEx (synchronous devices);
+      engine_->Start(std::move(op->splice.source), std::move(op->splice.sinks), op->splice.opts,
+                     [this, raw](const SpliceCompletion& c) { OnEngineComplete(raw, c); });
+  // The splice can run to completion inside Start (synchronous devices);
   // only remember the descriptor while the op is still in flight.
   if (raw->st == Op::St::kStarted) {
     raw->desc = d;
@@ -159,10 +156,10 @@ void SpliceRing::StartOp(Op* op) {
 
 void SpliceRing::OnEngineComplete(Op* op, const SpliceCompletion& c) {
   KspanScope scope("aio", op->span);
-  if (op->on_moved && !c.io_error) {
+  if (op->splice.on_moved && !c.io_error) {
     // Partial byte counts from a cancel still update sink-side file state:
     // those bytes are on the device.
-    op->on_moved(c.bytes_moved);
+    op->splice.on_moved(c.bytes_moved);
   }
   // Preserve the device's errno (kErrNoSpc stays distinguishable from a
   // media error); kAioEIo only backstops a report with no errno attached.

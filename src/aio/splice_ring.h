@@ -146,10 +146,7 @@ class SpliceRing {
   // An SQE the syscall layer resolved into engine endpoints.
   struct PreparedOp {
     SpliceSqe sqe;
-    std::unique_ptr<SpliceSource> source;
-    std::unique_ptr<SpliceSink> sink;
-    std::function<void(int64_t)> on_moved;  // sink-side file state update
-    SpliceOptions opts;                     // engine tuning for this op
+    ResolvedSplice splice;
   };
 
   // Admits one resolved group: records submission, queues the ops, and
@@ -213,10 +210,7 @@ class SpliceRing {
     SpliceSqe sqe;
     int group = 0;
     enum class St { kQueued, kStarted, kRetired } st = St::kQueued;
-    std::unique_ptr<SpliceSource> source;
-    std::unique_ptr<SpliceSink> sink;
-    std::function<void(int64_t)> on_moved;
-    SpliceOptions opts;
+    ResolvedSplice splice;  // handed to the engine at start
     SimTime submitted_at = 0;
     bool engine_called = false;        // handed to the splice engine
     SpliceDescriptor* desc = nullptr;  // valid while kStarted
@@ -277,7 +271,7 @@ class SpliceRing {
 
   // The ring lock (docs/klock.md): guards the kernel-side op queues, the
   // CQ/overflow pair, and the reaper latch.  It is fine-grained — never held
-  // across engine_->StartEx / engine_->Cancel (both can complete an op
+  // across engine_->Start / engine_->Cancel (both can complete an op
   // synchronously and re-enter Retire) — but IS held across ScheduleHead in
   // ArmReaper, a deliberate ring -> callout nesting (legal by rank; the
   // callout table never calls back synchronously).  `mutable` lets const

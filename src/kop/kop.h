@@ -93,7 +93,8 @@ struct KopStage {
 struct KopProgram {
   std::vector<KopStage> stages;
   // Set by KopVerify on success; every bind site (kop_attach, the engine,
-  // ResolveSqe) enforces verified==true — the reject-unverified-program rule.
+  // Kernel::ResolveSplice) enforces verified==true — the
+  // reject-unverified-program rule.
   bool verified = false;
 
   // Fan-out of the final route stage, or 1 for a linear program.

@@ -282,7 +282,6 @@ Task<std::unique_ptr<SpliceSource>> Kernel::MakeSource(Process& p,
         }
         map.push_back(pbn);
       }
-      rf->offset += len;
       *resolved_bytes = len;
       co_return std::make_unique<FileSpliceSource>(&cache_, rf->fs()->dev(), std::move(map),
                                                    len);
@@ -381,128 +380,126 @@ Task<std::unique_ptr<SpliceSink>> Kernel::MakeSink(Process& p, const std::shared
   co_return nullptr;
 }
 
-Task<int64_t> Kernel::Splice(Process& p, int src_fd, int dst_fd, int64_t nbytes) {
-  co_await SyscallEnter(p, "splice");
-  std::shared_ptr<File> src = GetFile(p, src_fd);
-  std::shared_ptr<File> dst = GetFile(p, dst_fd);
-  if (src == nullptr || dst == nullptr || (nbytes < 0 && nbytes != kSpliceEof)) {
-    SyscallExit(p, "splice");
-    co_return -1;
+Task<int> Kernel::ResolveSplice(Process& p, const std::shared_ptr<File>& src,
+                                const std::vector<std::shared_ptr<File>>& dsts, int64_t nbytes,
+                                std::shared_ptr<const KopProgram> kprog, ResolvedSplice* out) {
+  if (nbytes < 0 && nbytes != kSpliceEof) {
+    co_return kErrInval;
   }
-  if (src->kind() == File::Kind::kRegular && dst->kind() == File::Kind::kRegular &&
-      static_cast<RegularFile*>(src.get())->inode() ==
-          static_cast<RegularFile*>(dst.get())->inode()) {
+  bool file_sink = false;
+  for (const auto& d : dsts) {
+    if (d->kind() != File::Kind::kRegular) {
+      continue;
+    }
+    file_sink = true;
     // Splicing a file onto itself would interleave reads and writes over one
     // block map; refuse it (the paper's splice has no such mode either).
-    SyscallExit(p, "splice");
-    co_return -1;
+    if (src->kind() == File::Kind::kRegular &&
+        static_cast<RegularFile*>(src.get())->inode() ==
+            static_cast<RegularFile*>(d.get())->inode()) {
+      co_return kErrInval;
+    }
   }
-  // Operator binding: the source side's program wins; the sink side's rides
-  // only when the source has none.  Bind-rule refusals — a fan-out program
-  // on a two-fd splice, or a dropping program over a seekable sink whose
-  // offset bookkeeping assumes contiguous bytes — are EINVAL *before* any
-  // endpoint state is consumed (MakeSource advances the file offset).
-  const std::shared_ptr<const KopProgram> kprog =
-      src->kop_program != nullptr ? src->kop_program : dst->kop_program;
-  if (kprog != nullptr &&
-      (!kprog->verified || kprog->SinkCount() != 1 ||
-       (kprog->CanDrop() && dst->kind() == File::Kind::kRegular))) {
-    src->splice_error = kErrInval;
-    dst->splice_error = kErrInval;
-    SyscallExit(p, "splice");
-    co_return -1;
+  // Operator bind rules, checked before MakeSource does any I/O.  Without a
+  // program a splice has one sink; with one, exactly its SinkCount().  A
+  // regular-file sink needs contiguous bytes from one stream for its offset
+  // bookkeeping: no dropping program, and no fan-out (routing leaves
+  // per-sink byte positions undefined).
+  const int want_sinks = kprog != nullptr ? kprog->SinkCount() : 1;
+  if ((kprog != nullptr && !kprog->verified) || want_sinks != static_cast<int>(dsts.size()) ||
+      (file_sink && (dsts.size() > 1 || (kprog != nullptr && kprog->CanDrop())))) {
+    co_return kErrInval;
   }
-  // Stale status from a previous splice is cleared up front so a setup
-  // failure below records its errno against a clean slate.
-  src->splice_error = 0;
-  dst->splice_error = 0;
-  int setup_err = kErrInval;
+  int err = kErrInval;
   int64_t resolved = -1;
-  const bool sink_is_file = dst->kind() == File::Kind::kRegular;
-  std::unique_ptr<SpliceSource> source =
-      co_await MakeSource(p, src, nbytes, sink_is_file, &resolved, &setup_err);
-  if (source == nullptr) {
-    src->splice_error = setup_err;
-    dst->splice_error = setup_err;
-    SyscallExit(p, "splice");
-    co_return -1;
+  out->source = co_await MakeSource(p, src, nbytes, file_sink, &resolved, &err);
+  if (out->source == nullptr) {
+    co_return err;
   }
-  std::function<void(int64_t)> on_moved;
-  std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, dst, resolved, &on_moved, &setup_err);
-  if (sink == nullptr) {
-    src->splice_error = setup_err;
-    dst->splice_error = setup_err;
-    SyscallExit(p, "splice");
-    co_return -1;
+  for (const auto& d : dsts) {
+    std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, d, resolved, &out->on_moved, &err);
+    if (sink == nullptr) {
+      co_return err;
+    }
+    out->sinks.push_back(std::move(sink));
   }
+  // The source offset is consumed only once every endpoint resolved, so a
+  // refused splice leaves the file where it was.
+  if (src->kind() == File::Kind::kRegular) {
+    static_cast<RegularFile*>(src.get())->offset += resolved;
+  }
+  out->opts = splice_options_;
+  out->opts.kop_program = std::move(kprog);
+  co_return 0;
+}
 
+Task<> Kernel::ChargeParked(Process& p) {
+  const SimDuration charge = cache_.TakeSyncCharge() + splice_.TakeSyncCharge();
+  if (charge > 0) {
+    co_await cpu_.Use(p, charge);
+  }
+  // Operator work performed synchronously during setup (chunks that ran the
+  // program inside Start on a synchronous device) is charged apart so it
+  // lands in the kop.process attribution bucket.
+  const SimDuration kcharge = splice_.TakeSyncKopCharge();
+  if (kcharge > 0) {
+    co_await cpu_.UseKop(p, kcharge);
+  }
+}
+
+Task<int64_t> Kernel::RunSplice(Process& p, std::vector<std::shared_ptr<File>> ends,
+                                ResolvedSplice rs) {
   // "The splice operates asynchronously if either of the file descriptors
   // have the FASYNC flag enabled."  (Section 3)
-  const bool async = src->fasync || dst->fasync;
-  SpliceOptions opts = splice_options_;
-  opts.kop_program = kprog;
-  // The initial read batch is issued from this process's context inside
-  // Start(); synchronous devices perform their copies right there, so the
-  // accumulated cost lands on the caller.
-  auto charge_setup = [this, &p]() -> Task<> {
-    const SimDuration charge = cache_.TakeSyncCharge() + splice_.TakeSyncCharge();
-    if (charge > 0) {
-      co_await cpu_.Use(p, charge);
-    }
-    // Operator work performed synchronously during setup (chunks that ran
-    // the program inside StartEx on a synchronous device) is charged apart
-    // so it lands in the kop.process attribution bucket.
-    const SimDuration kcharge = splice_.TakeSyncKopCharge();
-    if (kcharge > 0) {
-      co_await cpu_.UseKop(p, kcharge);
-    }
-  };
-  // Both endpoints learn the splice's fate: 0 on success, the errno of the
-  // first failure otherwise (readable with SpliceError after SIGIO, or
-  // alongside the sync path's -1).
-  if (async) {
-    ++stats_.splices_async;
-    Process* proc = &p;
-    // Raised before StartEx and dropped before SIGIO posts, so SpliceStatus
-    // can never observe "idle" while the stream is still moving.
-    src->splice_active = true;
-    dst->splice_active = true;
-    splice_.StartEx(std::move(source), std::move(sink), opts,
-                    [this, proc, on_moved, src, dst](const SpliceCompletion& c) {
-                      src->splice_error = c.error;
-                      dst->splice_error = c.error;
-                      src->splice_active = false;
-                      dst->splice_active = false;
-                      if (on_moved && !c.io_error) {
-                        on_moved(c.bytes_moved);
-                      }
-                      // "A calling program can opt to catch SIGIO to detect
-                      // the completion of an asynchronous splice."
-                      cpu_.Post(*proc, kSigIo);
-                    });
-    co_await charge_setup();
-    SyscallExit(p, "splice");
-    co_return 0;
-  }
-
-  ++stats_.splices_sync;
+  const bool async =
+      std::any_of(ends.begin(), ends.end(), [](const auto& f) { return f->fasync; });
   struct Waiter {
     bool done = false;
     int64_t moved = 0;
   } w;
-  SpliceDescriptor* d = splice_.StartEx(
-      std::move(source), std::move(sink), opts,
-      [this, &w, on_moved, src, dst](const SpliceCompletion& c) {
-        src->splice_error = c.error;
-        dst->splice_error = c.error;
+  if (async) {
+    ++stats_.splices_async;
+    // Raised before Start and dropped before SIGIO posts, so SpliceStatus
+    // can never observe "idle" while the stream is still moving.
+    for (const auto& f : ends) {
+      f->splice_active = true;
+    }
+  } else {
+    ++stats_.splices_sync;
+  }
+  Process* proc = &p;
+  SpliceDescriptor* d = splice_.Start(
+      std::move(rs.source), std::move(rs.sinks), rs.opts,
+      [this, proc, async, waiter = &w, ends,
+       on_moved = std::move(rs.on_moved)](const SpliceCompletion& c) {
+        // Every endpoint learns the splice's fate: 0 on success, the errno
+        // of the first failure otherwise (readable with SpliceError after
+        // SIGIO, or alongside the sync path's -1).
+        for (const auto& f : ends) {
+          f->splice_error = c.error;
+          if (async) {
+            f->splice_active = false;
+          }
+        }
         if (on_moved && !c.io_error) {
           on_moved(c.bytes_moved);
         }
-        w.done = true;
-        w.moved = c.io_error ? -1 : c.bytes_moved;
-        cpu_.Wakeup(&w);
+        if (async) {
+          // "A calling program can opt to catch SIGIO to detect the
+          // completion of an asynchronous splice."
+          cpu_.Post(*proc, kSigIo);
+          return;
+        }
+        waiter->done = true;
+        waiter->moved = c.io_error ? -1 : c.bytes_moved;
+        cpu_.Wakeup(waiter);
       });
-  co_await charge_setup();
+  // The initial read batch was issued from this process's context inside
+  // Start; synchronous devices performed their copies right there.
+  co_await ChargeParked(p);
+  if (async) {
+    co_return 0;
+  }
   // "... until an end of file condition is reached or the operation is
   // interrupted by the caller" (Section 3): a signal cancels the transfer;
   // in-flight chunks drain and the partial byte count is returned.
@@ -517,8 +514,62 @@ Task<int64_t> Kernel::Splice(Process& p, int src_fd, int dst_fd, int64_t nbytes)
       cancelled = true;
     }
   }
-  SyscallExit(p, "splice");
   co_return w.moved;
+}
+
+Task<int64_t> Kernel::SpliceFds(Process& p, const char* name, int src_fd,
+                                std::vector<int> dst_fds, int64_t nbytes, bool fan_out) {
+  co_await SyscallEnter(p, name);
+  std::shared_ptr<File> src = GetFile(p, src_fd);
+  std::vector<std::shared_ptr<File>> dsts;
+  bool bad_fd = src == nullptr;
+  for (const int fd : dst_fds) {
+    std::shared_ptr<File> d = GetFile(p, fd);
+    bad_fd = bad_fd || d == nullptr;
+    if (d != nullptr) {
+      dsts.push_back(std::move(d));
+    }
+  }
+  // Operator binding: splice_multi's fan-out is driven by the source's
+  // program, which it therefore requires.  Splice runs the source side's
+  // program; the sink side's rides only when the source has none.
+  std::shared_ptr<const KopProgram> kprog = src != nullptr ? src->kop_program : nullptr;
+  if (!fan_out && kprog == nullptr && dsts.size() == 1) {
+    kprog = dsts[0]->kop_program;
+  }
+  // Every endpoint that resolved reports this splice's errno.  Stale status
+  // from a previous splice is cleared up front.
+  std::vector<std::shared_ptr<File>> ends = dsts;
+  if (src != nullptr) {
+    ends.insert(ends.begin(), src);
+  }
+  for (const auto& f : ends) {
+    f->splice_error = 0;
+  }
+  int err = kErrInval;
+  ResolvedSplice rs;
+  if (!bad_fd && (kprog != nullptr || !fan_out)) {
+    err = co_await ResolveSplice(p, src, dsts, nbytes, std::move(kprog), &rs);
+  }
+  int64_t result = -1;
+  if (err != 0) {
+    for (const auto& f : ends) {
+      f->splice_error = err;
+    }
+  } else {
+    result = co_await RunSplice(p, std::move(ends), std::move(rs));
+  }
+  SyscallExit(p, name);
+  co_return result;
+}
+
+Task<int64_t> Kernel::Splice(Process& p, int src_fd, int dst_fd, int64_t nbytes) {
+  return SpliceFds(p, "splice", src_fd, {dst_fd}, nbytes, /*fan_out=*/false);
+}
+
+Task<int64_t> Kernel::SpliceMulti(Process& p, int src_fd, const std::vector<int>& dst_fds,
+                                  int64_t nbytes) {
+  return SpliceFds(p, "splice_multi", src_fd, dst_fds, nbytes, /*fan_out=*/true);
 }
 
 // --- in-kernel splice operators ---
@@ -568,132 +619,6 @@ Task<int> Kernel::KopAttach(Process& p, int fd, int kop_id) {
   }
   SyscallExit(p, "kop_attach");
   co_return result;
-}
-
-Task<int64_t> Kernel::SpliceMulti(Process& p, int src_fd, const std::vector<int>& dst_fds,
-                                  int64_t nbytes) {
-  co_await SyscallEnter(p, "splice_multi");
-  std::shared_ptr<File> src = GetFile(p, src_fd);
-  std::vector<std::shared_ptr<File>> dsts;
-  bool ok = src != nullptr && (nbytes >= 0 || nbytes == kSpliceEof) && !dst_fds.empty();
-  if (ok) {
-    for (const int fd : dst_fds) {
-      std::shared_ptr<File> d = GetFile(p, fd);
-      // Routing leaves per-sink byte positions undefined, so seekable
-      // destinations are refused up front.
-      if (d == nullptr || d->kind() == File::Kind::kRegular) {
-        ok = false;
-        break;
-      }
-      dsts.push_back(std::move(d));
-    }
-  }
-  // The fan-out is driven by a route-stage program on the source; its
-  // declared sink count must match the destination list exactly.
-  const std::shared_ptr<const KopProgram> kprog = ok ? src->kop_program : nullptr;
-  if (kprog == nullptr || !kprog->verified ||
-      kprog->SinkCount() != static_cast<int>(dst_fds.size())) {
-    if (src != nullptr) {
-      src->splice_error = kErrInval;
-    }
-    for (const auto& d : dsts) {
-      d->splice_error = kErrInval;
-    }
-    SyscallExit(p, "splice_multi");
-    co_return -1;
-  }
-  src->splice_error = 0;
-  for (const auto& d : dsts) {
-    d->splice_error = 0;
-  }
-  int setup_err = kErrInval;
-  int64_t resolved = -1;
-  std::unique_ptr<SpliceSource> source =
-      co_await MakeSource(p, src, nbytes, /*sink_is_file=*/false, &resolved, &setup_err);
-  std::vector<std::unique_ptr<SpliceSink>> sinks;
-  if (source != nullptr) {
-    for (const auto& d : dsts) {
-      std::function<void(int64_t)> unused;  // never set for non-file sinks
-      std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, d, resolved, &unused, &setup_err);
-      if (sink == nullptr) {
-        break;
-      }
-      sinks.push_back(std::move(sink));
-    }
-  }
-  if (source == nullptr || sinks.size() != dsts.size()) {
-    src->splice_error = setup_err;
-    for (const auto& d : dsts) {
-      d->splice_error = setup_err;
-    }
-    SyscallExit(p, "splice_multi");
-    co_return -1;
-  }
-
-  bool async = src->fasync;
-  for (const auto& d : dsts) {
-    async = async || d->fasync;
-  }
-  SpliceOptions opts = splice_options_;
-  opts.kop_program = kprog;
-  auto charge_setup = [this, &p]() -> Task<> {
-    const SimDuration charge = cache_.TakeSyncCharge() + splice_.TakeSyncCharge();
-    if (charge > 0) {
-      co_await cpu_.Use(p, charge);
-    }
-    const SimDuration kcharge = splice_.TakeSyncKopCharge();
-    if (kcharge > 0) {
-      co_await cpu_.UseKop(p, kcharge);
-    }
-  };
-  if (async) {
-    ++stats_.splices_async;
-    Process* proc = &p;
-    src->splice_active = true;
-    for (const auto& d : dsts) {
-      d->splice_active = true;
-    }
-    splice_.StartMulti(std::move(source), std::move(sinks), opts,
-                       [this, proc, src, dsts](const SpliceCompletion& c) {
-                         src->splice_error = c.error;
-                         src->splice_active = false;
-                         for (const auto& d : dsts) {
-                           d->splice_error = c.error;
-                           d->splice_active = false;
-                         }
-                         cpu_.Post(*proc, kSigIo);
-                       });
-    co_await charge_setup();
-    SyscallExit(p, "splice_multi");
-    co_return 0;
-  }
-
-  ++stats_.splices_sync;
-  struct Waiter {
-    bool done = false;
-    int64_t moved = 0;
-  } w;
-  SpliceDescriptor* d = splice_.StartMulti(std::move(source), std::move(sinks), opts,
-                                           [this, &w, src, dsts](const SpliceCompletion& c) {
-                                             src->splice_error = c.error;
-                                             for (const auto& dst : dsts) {
-                                               dst->splice_error = c.error;
-                                             }
-                                             w.done = true;
-                                             w.moved = c.io_error ? -1 : c.bytes_moved;
-                                             cpu_.Wakeup(&w);
-                                           });
-  co_await charge_setup();
-  bool cancelled = false;
-  while (!w.done) {
-    co_await cpu_.Sleep(p, &w, kPriWait, /*interruptible=*/!cancelled);
-    if (!w.done && !cancelled && p.SignalPending()) {
-      splice_.Cancel(d);
-      cancelled = true;
-    }
-  }
-  SyscallExit(p, "splice_multi");
-  co_return w.moved;
 }
 
 // --- asynchronous splice ring ---
@@ -746,52 +671,27 @@ int Kernel::RingHarvest(Process& p, int ring_id, SpliceCqe* out, int max) {
   return ring->Harvest(out, max);
 }
 
-Task<int> Kernel::ResolveSqe(Process& p, const SpliceSqe& sqe, SpliceRing::PreparedOp* out) {
+Task<int> Kernel::ResolveSqe(Process& p, const SpliceSqe& sqe, SpliceRing::PreparedOp* out,
+                             SourceOffsets* offsets) {
   std::shared_ptr<File> src = GetFile(p, sqe.src_fd);
-  std::shared_ptr<File> dst = GetFile(p, sqe.dst_fd);
-  if (src == nullptr || dst == nullptr) {
+  const std::vector<std::shared_ptr<File>> dsts = {GetFile(p, sqe.dst_fd)};
+  if (src == nullptr || dsts[0] == nullptr) {
     co_return -kAioEBadf;
   }
-  if (sqe.nbytes < 0 && sqe.nbytes != kSpliceEof) {
-    co_return -kAioEInval;
-  }
-  if (src->kind() == File::Kind::kRegular && dst->kind() == File::Kind::kRegular &&
-      static_cast<RegularFile*>(src.get())->inode() ==
-          static_cast<RegularFile*>(dst.get())->inode()) {
-    co_return -kAioEInval;
-  }
-  // Resolve the SQE's operator program under the same bind rules as Splice:
-  // ring ops have exactly one sink, and a dropping program over a seekable
-  // sink would corrupt the on_moved offset bookkeeping.  Checked before
-  // MakeSource so a refused SQE doesn't consume the file offset.
+  // The SQE names its program; an id kop_load never minted is malformed.
   std::shared_ptr<const KopProgram> kprog;
-  if (sqe.kop_id != 0) {
-    kprog = GetKopProgram(p, sqe.kop_id);
-    if (kprog == nullptr || !kprog->verified || kprog->SinkCount() != 1 ||
-        (kprog->CanDrop() && dst->kind() == File::Kind::kRegular)) {
-      co_return -kAioEInval;
-    }
-  }
-  int setup_err = kErrInval;
-  int64_t resolved = -1;
-  const bool sink_is_file = dst->kind() == File::Kind::kRegular;
-  std::unique_ptr<SpliceSource> source =
-      co_await MakeSource(p, src, sqe.nbytes, sink_is_file, &resolved, &setup_err);
-  if (source == nullptr) {
-    co_return -setup_err;  // kErrInval aliases kAioEInval, kErrIo kAioEIo
-  }
-  std::function<void(int64_t)> on_moved;
-  std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, dst, resolved, &on_moved, &setup_err);
-  if (sink == nullptr) {
-    co_return -setup_err;
+  if (sqe.kop_id != 0 && (kprog = GetKopProgram(p, sqe.kop_id)) == nullptr) {
+    co_return -kAioEInval;
   }
   out->sqe = sqe;
-  out->source = std::move(source);
-  out->sink = std::move(sink);
-  out->on_moved = std::move(on_moved);
-  out->opts = splice_options_;
-  out->opts.kop_program = std::move(kprog);
-  co_return 0;
+  const int64_t offset =
+      src->kind() == File::Kind::kRegular ? static_cast<RegularFile*>(src.get())->offset : -1;
+  // kErrInval aliases kAioEInval, kErrIo kAioEIo, kErrNoSpc kAioENoSpc.
+  const int err = co_await ResolveSplice(p, src, dsts, sqe.nbytes, std::move(kprog), &out->splice);
+  if (err == 0 && offset >= 0) {
+    offsets->emplace_back(src, offset);
+  }
+  co_return -err;
 }
 
 Task<int> Kernel::RingEnter(Process& p, int ring_id, int to_submit, int min_complete) {
@@ -821,11 +721,12 @@ Task<int> Kernel::RingEnter(Process& p, int ring_id, int to_submit, int min_comp
       sqes.push_back(ring->PopPrepared());
     }
     std::vector<SpliceRing::PreparedOp> ops;
+    SourceOffsets offsets;
     int bad_index = -1;
     int bad_error = 0;
     for (int i = 0; i < gsize; ++i) {
       SpliceRing::PreparedOp op;
-      const int rc = co_await ResolveSqe(p, sqes[i], &op);
+      const int rc = co_await ResolveSqe(p, sqes[i], &op, &offsets);
       if (rc < 0) {
         bad_index = i;
         bad_error = -rc;
@@ -836,7 +737,11 @@ Task<int> Kernel::RingEnter(Process& p, int ring_id, int to_submit, int min_comp
     if (bad_index >= 0) {
       // The malformed SQE fails with its own error; a partial pipeline
       // cannot run, so the rest of its group fails ECANCELED.  Nothing in
-      // the group starts.
+      // the group starts, and the members already resolved hand their
+      // source offsets back, latest first.
+      for (auto it = offsets.rbegin(); it != offsets.rend(); ++it) {
+        static_cast<RegularFile*>(it->first.get())->offset = it->second;
+      }
       for (int i = 0; i < gsize; ++i) {
         ring->FailSqe(sqes[i], i == bad_index ? bad_error : kAioECanceled);
       }
@@ -850,16 +755,7 @@ Task<int> Kernel::RingEnter(Process& p, int ring_id, int to_submit, int min_comp
   }
   // Endpoint setup and any synchronous-device work above ran in this
   // process's context; charge it here, all under the one trap.
-  {
-    const SimDuration charge = cache_.TakeSyncCharge() + splice_.TakeSyncCharge();
-    if (charge > 0) {
-      co_await cpu_.Use(p, charge);
-    }
-    const SimDuration kcharge = splice_.TakeSyncKopCharge();
-    if (kcharge > 0) {
-      co_await cpu_.UseKop(p, kcharge);
-    }
-  }
+  co_await ChargeParked(p);
 
   if (submitted == 0 && sq_full && !ring->config().block_on_full) {
     ring->NoteEagain();

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/aio/splice_ring.h"
@@ -114,9 +115,10 @@ class Kernel {
   // entirely in the kernel.  Synchronous unless either descriptor has
   // FASYNC, in which case it returns 0 immediately and SIGIO is posted on
   // completion.  File endpoints require block-aligned offsets.  Returns
-  // bytes moved, 0 (async started), or -1 on error.  An operator program
-  // attached to either descriptor (kop_attach) runs over every chunk; the
-  // source side's program wins when both carry one.
+  // bytes moved, 0 (async started), or -1 on error; a refusal records its
+  // errno (SpliceError) on every descriptor that resolved.  An operator
+  // program attached to either descriptor (kop_attach) runs over every
+  // chunk; the source side's program wins when both carry one.
   IKDP_CTX_PROCESS Task<int64_t> Splice(Process& p, int src_fd, int dst_fd, int64_t nbytes);
 
   // --- in-kernel splice operators (src/kop; see docs/splice_ops.2.md) ---
@@ -134,13 +136,13 @@ class Kernel {
   // (the reject-unverified-program rule).
   IKDP_CTX_PROCESS Task<int> KopAttach(Process& p, int fd, int kop_id);
 
-  // splice_multi(2): fan-out splice.  Requires a route-stage program
-  // attached to `src_fd` whose SinkCount() equals dst_fds.size(); the
-  // operator picks the destination of each chunk.  Regular-file
-  // destinations are refused (routing leaves per-sink byte offsets
-  // undefined).  Otherwise behaves like Splice(): synchronous unless any
-  // endpoint has FASYNC, errno recorded on the source and every
-  // destination.
+  // splice_multi(2): fan-out splice.  Requires a program attached to
+  // `src_fd` whose SinkCount() equals dst_fds.size(); a route stage picks
+  // the destination of each chunk.  A regular-file destination is refused
+  // beside any other (routing leaves per-sink byte offsets undefined).
+  // Otherwise behaves like Splice(), which is its one-sink case:
+  // synchronous unless any endpoint has FASYNC, errno recorded on the
+  // source and every destination.
   IKDP_CTX_PROCESS Task<int64_t> SpliceMulti(Process& p, int src_fd,
                                              const std::vector<int>& dst_fds, int64_t nbytes);
 
@@ -261,10 +263,10 @@ class Kernel {
   // unsupported/invalid combinations, with `err` set to why: kErrInval for
   // refusals (alignment, holes, wrong pipe end), kErrIo for an unreadable
   // block map, kErrNoSpc when the destination premap runs the device full.
-  // For regular files, consumes and advances the file offset and premaps
-  // blocks (in process context).  `sink_is_file` makes stream sources
-  // coalesce short deliveries into full blocks, which the file sink's block
-  // map requires.
+  // Regular files premap their blocks (in process context) from the current
+  // offset; ResolveSplice advances the source offset.  `sink_is_file` makes
+  // stream sources coalesce short deliveries into full blocks, which the
+  // file sink's block map requires.
   IKDP_CTX_PROCESS Task<std::unique_ptr<SpliceSource>> MakeSource(
       Process& p, const std::shared_ptr<File>& f, int64_t nbytes, bool sink_is_file,
       int64_t* resolved_bytes, int* err);
@@ -274,10 +276,49 @@ class Kernel {
       Process& p, const std::shared_ptr<File>& f, int64_t nbytes,
       std::function<void(int64_t)>* on_moved, int* err);
 
-  // Resolves one SQE into engine endpoints (same validation as Splice).
-  // Returns 0 and fills `out`, or -errno.
+  // The one splice setup (docs/splice.2.md, VALIDATION ORDER), shared by
+  // splice, splice_multi and ring SQEs: validates `nbytes`, refuses a
+  // self-splice, applies the operator bind rules for `kprog` (verified;
+  // SinkCount() == dsts.size(), or one sink without a program; no dropping
+  // program and no fan-out over a regular-file sink), then builds the
+  // endpoints into `out`.  Returns 0, or the errno of the refusal; a refusal
+  // leaves the source offset unchanged.
+  IKDP_CTX_PROCESS Task<int> ResolveSplice(Process& p, const std::shared_ptr<File>& src,
+                                           const std::vector<std::shared_ptr<File>>& dsts,
+                                           int64_t nbytes,
+                                           std::shared_ptr<const KopProgram> kprog,
+                                           ResolvedSplice* out);
+
+  // Starts a resolved splice and reports its fate on every file in `ends`
+  // (splice_error; splice_active while a FASYNC splice is in flight).
+  // FASYNC on any endpoint returns 0 at once and posts SIGIO at completion;
+  // otherwise the caller sleeps until completion (a signal cancels) and
+  // gets bytes moved, or -1 on an I/O error.
+  IKDP_CTX_PROCESS Task<int64_t> RunSplice(Process& p, std::vector<std::shared_ptr<File>> ends,
+                                           ResolvedSplice rs);
+
+  // Charges the CPU work parked while splice setup ran in process context
+  // (buffer cache, engine handlers, then operator work) to `p`.
+  IKDP_CTX_PROCESS Task<> ChargeParked(Process& p);
+
+  // The fd entry shared by splice and splice_multi: looks up the
+  // descriptors, picks the program, resolves, runs, and records a refusal's
+  // errno on every descriptor that resolved.  `fan_out` is splice_multi's
+  // program choice (the source's, required).
+  IKDP_CTX_PROCESS Task<int64_t> SpliceFds(Process& p, const char* name, int src_fd,
+                                           std::vector<int> dst_fds, int64_t nbytes,
+                                           bool fan_out);
+
+  // Regular-file sources and their offsets before resolution, so a refused
+  // ring group can hand back what its resolved members consumed.
+  using SourceOffsets = std::vector<std::pair<std::shared_ptr<File>, int64_t>>;
+
+  // The ring's entry: looks up the SQE's descriptors (-kAioEBadf) and
+  // program, then resolves.  Returns 0, fills `out` and appends a regular-file
+  // source's prior offset to `offsets`; or -errno.  Never touches
+  // splice_error.
   IKDP_CTX_PROCESS Task<int> ResolveSqe(Process& p, const SpliceSqe& sqe,
-                                        SpliceRing::PreparedOp* out);
+                                        SpliceRing::PreparedOp* out, SourceOffsets* offsets);
 
   Simulator* sim_;
   CpuSystem cpu_;

@@ -9,10 +9,6 @@
 
 namespace ikdp {
 
-namespace lockdep_internal {
-bool g_enabled = false;
-}  // namespace lockdep_internal
-
 namespace {
 
 LockdepValidator::Mode ModeFromEnv() {
@@ -28,6 +24,18 @@ LockdepValidator::Mode ModeFromEnv() {
   }
   return LockdepValidator::Mode::kOff;
 }
+
+}  // namespace
+
+namespace lockdep_internal {
+// Set from the environment at program start, not when the validator is
+// first constructed: the lock hooks test this flag before touching
+// Lockdep(), so a lazily-set flag would leave IKDP_LOCKDEP inert until
+// something else happened to construct the validator.
+bool g_enabled = ModeFromEnv() != LockdepValidator::Mode::kOff;
+}  // namespace lockdep_internal
+
+namespace {
 
 // Violation reports are bounded: a systematically-broken discipline would
 // otherwise flood collect mode.

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <utility>
 
+#include "src/kern/lock.h"
 #include "src/sim/krace.h"
 
 namespace ikdp {
@@ -13,8 +14,11 @@ Simulator::Simulator() {
   // addresses a previous run used.  Stale records in the process-wide
   // detector would alias them — a coincidentally equal (id, timestamp,
   // address) triple reads as "same event" (silently skipping real races)
-  // and an unequal one fabricates a cross-run race.
+  // and an unequal one fabricates a cross-run race.  The lock counters are
+  // process-wide too; without the reset, lock.* telemetry would sum over
+  // every run in the process.
   Krace().Reset();
+  ResetLockStats();
 }
 
 EventId Simulator::After(SimDuration delay, std::function<void()> fn) {

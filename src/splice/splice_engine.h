@@ -99,10 +99,10 @@ struct SpliceOptions {
   std::shared_ptr<const KopProgram> kop_program;
 };
 
-// Rich completion report delivered by StartEx: enough to build a
-// completion-queue entry (result, error class, per-op latency) without the
-// caller keeping shadow state.  `cancelled` means a user cancel, not an
-// error-driven abort (io_error covers that).
+// Completion report delivered by Start: enough to build a completion-queue
+// entry (result, error class, per-op latency) without the caller keeping
+// shadow state.  `cancelled` means a user cancel, not an error-driven abort
+// (io_error covers that).
 struct SpliceCompletion {
   uint64_t serial = 0;
   int64_t bytes_moved = 0;
@@ -119,6 +119,16 @@ struct SpliceCompletion {
   bool kop_active = false;
   uint64_t kop_checksum = 0;
   int64_t kop_dropped = 0;
+};
+
+// A splice the syscall layer has validated and built endpoints for: the
+// arguments of SpliceEngine::Start, plus the hook that updates sink-side
+// file state (seek offset, inode size) once the byte count is known.
+struct ResolvedSplice {
+  std::unique_ptr<SpliceSource> source;
+  std::vector<std::unique_ptr<SpliceSink>> sinks;
+  std::function<void(int64_t)> on_moved;  // set only for a regular-file sink
+  SpliceOptions opts;
 };
 
 class SpliceDescriptor {
@@ -165,7 +175,7 @@ class SpliceDescriptor {
   std::unique_ptr<SpliceSource> source_;
   // Sinks this splice fans out to; sinks_[0] is the primary (and only)
   // destination unless a route-stage operator is attached, in which case the
-  // operator picks the sink per chunk (fan-out fixed at StartMulti).
+  // operator picks the sink per chunk (fan-out fixed at Start).
   std::vector<std::unique_ptr<SpliceSink>> sinks_;
   SpliceOptions opts_;
   // Per-descriptor operator state.  Touched by whichever context runs the
@@ -201,7 +211,7 @@ class SpliceDescriptor {
   bool finished_ IKDP_GUARDED_BY(lock:splice) = false;
   bool read_retry_armed_ IKDP_GUARDED_BY(lock:splice) = false;
   bool drain_armed_ IKDP_GUARDED_BY(lock:splice) = false;
-  // Written once at StartEx, read by every handler context afterwards —
+  // Written once at Start, read by every handler context afterwards —
   // immutable for the descriptor's life, so any context may read it.
   SpanId span_ IKDP_GUARDED_BY(any) = kNoSpan;
   bool span_owned_ IKDP_GUARDED_BY(any) = false;  // minted (must End) vs inherited
@@ -229,27 +239,18 @@ class SpliceEngine {
   SpliceEngine(const SpliceEngine&) = delete;
   SpliceEngine& operator=(const SpliceEngine&) = delete;
 
-  // Starts a splice.  The source bounds the transfer (TotalBytes, or EOF
-  // chunks for streams); `on_complete(bytes_moved)` fires in kernel context
-  // when every chunk has drained; bytes_moved is -1 if an unrecoverable I/O
-  // error aborted the transfer.  The descriptor stays valid until then.
+  // Starts a splice from `source` into `sinks`.  The source bounds the
+  // transfer (TotalBytes, or EOF chunks for streams).  Without an operator
+  // program there is exactly one sink; with one, exactly its SinkCount(),
+  // and a route stage picks each chunk's sink — bind sites validate with
+  // kErrInval, the engine aborts.  `on_complete` fires in kernel context
+  // once every chunk has drained, with the full report (bytes, error/cancel
+  // flags, start and finish timestamps).  The descriptor stays valid until
+  // then.
   IKDP_CTX_ANY SpliceDescriptor* Start(std::unique_ptr<SpliceSource> source,
-                                       std::unique_ptr<SpliceSink> sink, SpliceOptions opts,
-                                       std::function<void(int64_t)> on_complete);
-
-  // Like Start, but the completion callback receives the full report
-  // (bytes, error/cancel flags, start and finish timestamps) — the splice
-  // ring builds CQEs from this without shadow bookkeeping.
-  IKDP_CTX_ANY SpliceDescriptor* StartEx(std::unique_ptr<SpliceSource> source,
-                                         std::unique_ptr<SpliceSink> sink, SpliceOptions opts,
-                                         std::function<void(const SpliceCompletion&)> on_complete);
-
-  // Fan-out form: the attached route-stage operator picks which of `sinks`
-  // each chunk continues to.  The sink count must equal the program's
-  // SinkCount() — bind sites validate with kErrInval, the engine aborts.
-  IKDP_CTX_ANY SpliceDescriptor* StartMulti(
-      std::unique_ptr<SpliceSource> source, std::vector<std::unique_ptr<SpliceSink>> sinks,
-      SpliceOptions opts, std::function<void(const SpliceCompletion&)> on_complete);
+                                       std::vector<std::unique_ptr<SpliceSink>> sinks,
+                                       SpliceOptions opts,
+                                       std::function<void(const SpliceCompletion&)> on_complete);
 
   // Stops issuing reads; the splice completes (invoking on_complete) once
   // in-flight chunks drain.

@@ -73,7 +73,7 @@ TEST_F(AioTest, BatchSubmitsInOneTrapAndCompletesAll) {
   constexpr int kStreams = 4;
   constexpr int64_t kBytes = 8 * kBlockSize;
   for (int i = 0; i < kStreams; ++i) {
-    fs_rama_->CreateFileInstant("s" + std::to_string(i), kBytes, Fill);
+    fs_rama_->CreateFileInstant(std::string("s").append(std::to_string(i)), kBytes, Fill);
   }
   int entered = -1;
   int harvested = -1;
@@ -118,14 +118,14 @@ TEST_F(AioTest, BatchSubmitsInOneTrapAndCompletesAll) {
     EXPECT_TRUE(s);
   }
   for (int i = 0; i < kStreams; ++i) {
-    VerifyFile(fs_ramb_, "d" + std::to_string(i), kBytes);
+    VerifyFile(fs_ramb_, std::string("d").append(std::to_string(i)), kBytes);
   }
 }
 
 TEST_F(AioTest, SqFullReturnsEagainThenRecovers) {
   constexpr int64_t kBytes = 8 * kBlockSize;
   for (int i = 0; i < 4; ++i) {
-    fs_rama_->CreateFileInstant("s" + std::to_string(i), kBytes, Fill);
+    fs_rama_->CreateFileInstant(std::string("s").append(std::to_string(i)), kBytes, Fill);
   }
   RingConfig cfg;
   cfg.sq_entries = 2;
@@ -169,7 +169,7 @@ TEST_F(AioTest, SqFullReturnsEagainThenRecovers) {
   EXPECT_EQ(third, 4);
   EXPECT_EQ(eagains, 1u);
   for (int i = 0; i < 4; ++i) {
-    VerifyFile(fs_ramb_, "d" + std::to_string(i), kBytes);
+    VerifyFile(fs_ramb_, std::string("d").append(std::to_string(i)), kBytes);
   }
 }
 
@@ -463,7 +463,7 @@ TEST_F(AioTest, LinkedGroupTeardownClosesEverySpanExactlyOnce) {
 TEST_F(AioTest, CqOverflowStagesAndRecoversOnHarvest) {
   constexpr int64_t kBytes = 4 * kBlockSize;
   for (int i = 0; i < 4; ++i) {
-    fs_rama_->CreateFileInstant("s" + std::to_string(i), kBytes, Fill);
+    fs_rama_->CreateFileInstant(std::string("s").append(std::to_string(i)), kBytes, Fill);
   }
   RingConfig cfg;
   cfg.cq_entries = 2;
@@ -494,7 +494,7 @@ TEST_F(AioTest, CqOverflowStagesAndRecoversOnHarvest) {
   EXPECT_EQ(overflows, 2u);
   EXPECT_EQ(harvested, 4);
   for (int i = 0; i < 4; ++i) {
-    VerifyFile(fs_ramb_, "d" + std::to_string(i), kBytes);
+    VerifyFile(fs_ramb_, std::string("d").append(std::to_string(i)), kBytes);
   }
 }
 
@@ -529,7 +529,7 @@ TEST_F(AioTest, RingEventsExportToChromeTraceAndTelemetry) {
   constexpr int kStreams = 3;
   constexpr int64_t kBytes = 8 * kBlockSize;
   for (int i = 0; i < kStreams; ++i) {
-    fs_rama_->CreateFileInstant("s" + std::to_string(i), kBytes, Fill);
+    fs_rama_->CreateFileInstant(std::string("s").append(std::to_string(i)), kBytes, Fill);
   }
   TraceLog trace(1 << 16);
   MetricsRegistry registry;

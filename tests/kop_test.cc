@@ -670,7 +670,8 @@ TEST_F(KopTest, SpliceMultiRefusesMismatchedSinkSets) {
     const int id = co_await kernel_.KopLoad(p, RouteProgram(3));
     EXPECT_EQ(co_await kernel_.KopAttach(p, src, id), 0);
     wrong_fanout = co_await kernel_.SpliceMulti(p, src, dsts, kSpliceEof);
-    // Seekable destinations are refused outright.
+    // A regular-file destination beside other destinations is refused: a
+    // route leaves its byte positions undefined.
     const int f = co_await kernel_.Open(p, "ramb:dst", kOpenWrite | kOpenCreate);
     const std::vector<int> mixed = {d0, f};
     file_sink = co_await kernel_.SpliceMulti(p, src, mixed, kSpliceEof);
@@ -680,6 +681,39 @@ TEST_F(KopTest, SpliceMultiRefusesMismatchedSinkSets) {
   EXPECT_EQ(wrong_fanout, -1);
   EXPECT_EQ(file_sink, -1);
   EXPECT_EQ(kernel_.splice_engine().stats().splices_started, 0u);
+}
+
+TEST_F(KopTest, SpliceMultiIntoOneFileIsASplice) {
+  // One regular-file destination and a one-sink, non-dropping program is the
+  // splice(2) case: accepted, bytes contiguous, destination size and both
+  // offsets updated at completion.
+  constexpr int64_t kBytes = 16 * kBlockSize;
+  fs_rama_->CreateFileInstant("src", kBytes, Fill);
+  int64_t moved = -2;
+  int64_t src_off = -2;
+  int64_t dst_off = -2;
+  int err_src = -1;
+  int err_dst = -1;
+  Run([&](Process& p) -> Task<> {
+    const int src = co_await kernel_.Open(p, "rama:src", kOpenRead);
+    const int dst = co_await kernel_.Open(p, "ramb:dst", kOpenWrite | kOpenCreate);
+    const int id = co_await kernel_.KopLoad(p, ChecksumProgram());
+    EXPECT_EQ(co_await kernel_.KopAttach(p, src, id), 0);
+    const std::vector<int> dsts = {dst};
+    moved = co_await kernel_.SpliceMulti(p, src, dsts, kSpliceEof);
+    src_off = co_await kernel_.Tell(p, src);
+    dst_off = co_await kernel_.Tell(p, dst);
+    err_src = co_await kernel_.SpliceError(p, src);
+    err_dst = co_await kernel_.SpliceError(p, dst);
+  });
+  EXPECT_EQ(moved, kBytes);
+  EXPECT_EQ(src_off, kBytes);
+  EXPECT_EQ(dst_off, kBytes);
+  EXPECT_EQ(err_src, 0);
+  EXPECT_EQ(err_dst, 0);
+  VerifyFile(fs_ramb_, "dst", kBytes);
+  EXPECT_EQ(kernel_.splice_engine().stats().kop_chunks_in, 16u);
+  EXPECT_EQ(kernel_.splice_engine().stats().kop_bytes_out, kBytes);
 }
 
 TEST_F(KopTest, AttributionClosureHoldsWithOperatorsAttached) {

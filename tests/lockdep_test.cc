@@ -150,8 +150,7 @@ TEST_F(LockdepDeathTest, SleepUnderSpinlockAborts) {
 }
 
 TEST_F(LockdepTest, SleepLockContentionRidesTheScheduler) {
-  ResetLockStats();
-  Simulator sim;
+  Simulator sim;  // a new run: resets the lock counters
   CostConfig costs;
   costs.context_switch = 0;
   costs.syscall_overhead = 0;

@@ -16,6 +16,7 @@
 #include "src/hw/disk.h"
 #include "src/os/kernel.h"
 #include "src/splice/file_endpoint.h"
+#include "tests/one_sink.h"
 
 namespace ikdp {
 namespace {
@@ -163,9 +164,9 @@ TEST_P(WatermarkPropertyTest, BoundsHoldAndContentSurvives) {
       bool done = false;
     } w;
     SpliceDescriptor* d = nullptr;
-    d = kernel.splice_engine().Start(std::move(source), std::move(sink), opts,
-                                     [&](int64_t m) {
-                                       moved = m;
+    d = kernel.splice_engine().Start(std::move(source), OneSink(std::move(sink)), opts,
+                                     [&](const SpliceCompletion& c) {
+                                       moved = c.io_error ? -1 : c.bytes_moved;
                                        observed = d->stats();
                                        w.done = true;
                                        kernel.cpu().Wakeup(&w);
@@ -215,8 +216,10 @@ TEST(SpliceCancelTest, ConvergesAndReleasesBuffers) {
                                                      std::move(smap), kBytes);
     auto sink =
         std::make_unique<FileSpliceSink>(&kernel.cache(), dst_fs->dev(), std::move(dmap));
-    d = kernel.splice_engine().Start(std::move(source), std::move(sink), SpliceOptions{},
-                                     [&](int64_t m) { moved = m; });
+    d = kernel.splice_engine().Start(std::move(source), OneSink(std::move(sink)),
+                                     SpliceOptions{}, [&](const SpliceCompletion& c) {
+                                       moved = c.io_error ? -1 : c.bytes_moved;
+                                     });
   });
   sim.After(Milliseconds(300), [&] {
     ASSERT_NE(d, nullptr);

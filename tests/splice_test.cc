@@ -1,7 +1,8 @@
 // Integration tests for the splice engine and syscall: file-to-file copies
 // across disk types, content integrity, flow-control invariants, async
-// (FASYNC + SIGIO) completion, socket and device endpoints, and the
-// zero-copy buffer-sharing machinery.
+// (FASYNC + SIGIO) completion, socket and device endpoints, the
+// zero-copy buffer-sharing machinery, and refusal parity across the three
+// splice entry points.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "src/os/kernel.h"
 #include "src/sim/simulator.h"
 #include "src/splice/file_endpoint.h"
+#include "tests/one_sink.h"
 
 namespace ikdp {
 namespace {
@@ -201,9 +203,9 @@ TEST_F(SpliceTest, FlowControlRespectsWatermarks) {
       bool done = false;
     } w;
     SpliceDescriptor* d =
-        kernel_.splice_engine().Start(std::move(source), std::move(sink), SpliceOptions{},
-                                      [&](int64_t m) {
-                                        moved = m;
+        kernel_.splice_engine().Start(std::move(source), OneSink(std::move(sink)), SpliceOptions{},
+                                      [&](const SpliceCompletion& c) {
+                                        moved = c.io_error ? -1 : c.bytes_moved;
                                         observed = d->stats();
                                         w.done = true;
                                         kernel_.cpu().Wakeup(&w);
@@ -453,7 +455,7 @@ TEST_F(SpliceTest, ConcurrentFasyncSplicesCompleteWithCoalescedSigio) {
   constexpr int kStreams = 4;
   constexpr int64_t kBytes = 16 * kBlockSize;
   for (int i = 0; i < kStreams; ++i) {
-    fs_rama_->CreateFileInstant("s" + std::to_string(i), kBytes, Fill);
+    fs_rama_->CreateFileInstant(std::string("s").append(std::to_string(i)), kBytes, Fill);
   }
   int sigio_count = 0;
   Run([&](Process& p) -> Task<> {
@@ -492,7 +494,7 @@ TEST_F(SpliceTest, ConcurrentFasyncSplicesCompleteWithCoalescedSigio) {
   EXPECT_GE(sigio_count, 1);
   EXPECT_LE(sigio_count, kStreams);
   for (int i = 0; i < kStreams; ++i) {
-    VerifyFile(fs_ramb_, "d" + std::to_string(i), kBytes);
+    VerifyFile(fs_ramb_, std::string("d").append(std::to_string(i)), kBytes);
   }
 }
 
@@ -553,6 +555,281 @@ TEST_F(SpliceTest, SignalInterruptsSynchronousSplice) {
   EXPECT_GE(returned_at, Milliseconds(500));
   EXPECT_LT(returned_at, Milliseconds(900));
   EXPECT_EQ(kernel_.splice_engine().active(), 0);
+}
+
+// --- refusal parity ---
+//
+// splice(2), a ring SQE and splice_multi(2) share one setup, so each refusal
+// must come out of every entry point alike: the same errno (returned via
+// SpliceError, or in the CQE), no engine start, and the source file offset
+// untouched.  Splice and SpliceMulti record the errno on every descriptor
+// that resolved, overwriting stale status; the ring reports only through
+// its CQE and leaves splice_error alone.
+
+enum class End {
+  kNone,        // the entry point does not apply to this refusal
+  kBad,         // a descriptor that was never opened
+  kFile,        // a 4-block regular file, offset 0
+  kMisaligned,  // the same file, offset 100
+  kHoles,       // a 2-block regular file with no blocks allocated
+  kSameFile,    // the kFile inode, opened again for writing
+  kDstFile,     // a fresh regular file on the other disk
+  kPipeRead,
+  kPipeWrite,
+  kSocket,
+};
+
+enum class Prog { kNone, kChecksum, kUnverified, kFilter, kRoute2, kRoute3 };
+
+struct Refusal {
+  const char* name;
+  End src;
+  End dst;               // splice(2) and the ring SQE
+  std::vector<End> fan;  // splice_multi(2) destinations; empty = n/a
+  int64_t nbytes;
+  Prog prog;      // bound to the source (splice), named by the SQE (ring)
+  Prog fan_prog;  // bound to the source (splice_multi)
+  int err;        // splice/splice_multi errno
+  int ring_err;   // CQE errno; 0 = not expressible as an SQE
+};
+
+KopProgram MakeProgram(Prog prog) {
+  KopProgram p;
+  KopStage s;
+  switch (prog) {
+    case Prog::kNone:
+    case Prog::kChecksum:
+    case Prog::kUnverified:
+      break;
+    case Prog::kFilter:
+      s.kind = KopStageKind::kFilter;
+      s.len = 1;
+      break;
+    case Prog::kRoute2:
+    case Prog::kRoute3:
+      s.kind = KopStageKind::kRoute;
+      s.len = 1;
+      s.n_sinks = prog == Prog::kRoute2 ? 2 : 3;
+      break;
+  }
+  p.stages.push_back(s);
+  return p;
+}
+
+// A fresh machine per (refusal, entry point): two RAM disks and a socket.
+struct RefusalMachine {
+  RefusalMachine()
+      : kernel(&sim, DecStation5000Costs()),
+        disk_a(&kernel.cpu(), 4 << 20),
+        disk_b(&kernel.cpu(), 4 << 20),
+        sock(&kernel.cpu()) {
+    FileSystem* a = kernel.MountFs(&disk_a, "a");
+    kernel.MountFs(&disk_b, "b");
+    a->CreateFileInstant("src", 4 * kBlockSize, Fill);
+    a->Create("holes")->size = 2 * kBlockSize;
+  }
+
+  // Opens `e` in p's descriptor table; `pipe_fds` is {read end, write end}.
+  Task<int> Open(Process& p, End e, const int* pipe_fds) {
+    switch (e) {
+      case End::kNone:
+      case End::kBad:
+        co_return 99;
+      case End::kFile:
+        co_return co_await kernel.Open(p, "a:src", kOpenRead);
+      case End::kMisaligned: {
+        const int fd = co_await kernel.Open(p, "a:src", kOpenRead);
+        co_await kernel.Lseek(p, fd, 100);
+        co_return fd;
+      }
+      case End::kHoles:
+        co_return co_await kernel.Open(p, "a:holes", kOpenRead);
+      case End::kSameFile:
+        co_return co_await kernel.Open(p, "a:src", kOpenWrite);
+      case End::kDstFile:
+        co_return co_await kernel.Open(p, "b:dst", kOpenWrite | kOpenCreate);
+      case End::kPipeRead:
+        co_return pipe_fds[0];
+      case End::kPipeWrite:
+        co_return pipe_fds[1];
+      case End::kSocket:
+        co_return kernel.OpenSocket(p, &sock);
+    }
+    co_return 99;
+  }
+
+  Simulator sim;
+  Kernel kernel;
+  RamDisk disk_a;
+  RamDisk disk_b;
+  UdpSocket sock;
+};
+
+TEST(SpliceRefusalParityTest, EveryEntryPointRefusesAlike) {
+  using E = End;
+  const std::vector<Refusal> refusals = {
+      {"bad source fd", E::kBad, E::kSocket, {E::kSocket, E::kSocket}, kSpliceEof, Prog::kNone,
+       Prog::kRoute2, kErrInval, kAioEBadf},
+      {"bad sink fd", E::kFile, E::kBad, {E::kSocket, E::kBad}, kSpliceEof, Prog::kNone,
+       Prog::kRoute2, kErrInval, kAioEBadf},
+      {"bad nbytes", E::kFile, E::kDstFile, {E::kSocket, E::kSocket}, -5, Prog::kNone,
+       Prog::kRoute2, kErrInval, kAioEInval},
+      {"self-splice", E::kFile, E::kSameFile, {E::kSameFile}, kSpliceEof, Prog::kNone,
+       Prog::kChecksum, kErrInval, kAioEInval},
+      {"unverified program", E::kFile, E::kSocket, {E::kSocket}, kSpliceEof, Prog::kUnverified,
+       Prog::kUnverified, kErrInval, 0},
+      {"wrong sink count", E::kFile, E::kSocket, {E::kSocket, E::kSocket}, kSpliceEof,
+       Prog::kRoute2, Prog::kRoute3, kErrInval, kAioEInval},
+      {"dropping program over a file", E::kFile, E::kDstFile, {E::kDstFile}, kSpliceEof,
+       Prog::kFilter, Prog::kFilter, kErrInval, kAioEInval},
+      {"fan-out over a file", E::kFile, E::kNone, {E::kSocket, E::kDstFile}, kSpliceEof,
+       Prog::kNone, Prog::kRoute2, kErrInval, 0},
+      {"misaligned source offset", E::kMisaligned, E::kDstFile, {E::kSocket, E::kSocket},
+       kSpliceEof, Prog::kNone, Prog::kRoute2, kErrInval, kAioEInval},
+      {"hole in the source", E::kHoles, E::kDstFile, {E::kSocket, E::kSocket}, kSpliceEof,
+       Prog::kNone, Prog::kRoute2, kErrInval, kAioEInval},
+      {"pipe write end as source", E::kPipeWrite, E::kSocket, {E::kSocket, E::kSocket},
+       4 * kBlockSize, Prog::kNone, Prog::kRoute2, kErrInval, kAioEInval},
+      {"pipe read end as sink", E::kFile, E::kPipeRead, {E::kSocket, E::kPipeRead}, kSpliceEof,
+       Prog::kNone, Prog::kRoute2, kErrInval, kAioEInval},
+      {"unbounded transfer into a file", E::kPipeRead, E::kDstFile, {E::kDstFile}, kSpliceEof,
+       Prog::kNone, Prog::kChecksum, kErrInval, kAioEInval},
+  };
+  enum class Entry { kSplice, kRing, kMulti };
+  constexpr int kStale = 77;  // splice_error left behind by an earlier splice
+  int runs = 0;
+  for (const Refusal& r : refusals) {
+    for (const Entry entry : {Entry::kSplice, Entry::kRing, Entry::kMulti}) {
+      if ((entry == Entry::kSplice && r.dst == End::kNone) ||
+          (entry == Entry::kRing && (r.dst == End::kNone || r.ring_err == 0)) ||
+          (entry == Entry::kMulti && r.fan.empty())) {
+        continue;
+      }
+      SCOPED_TRACE(std::string(r.name) + (entry == Entry::kSplice ? " via splice"
+                                          : entry == Entry::kRing ? " via ring"
+                                                                  : " via splice_multi"));
+      ++runs;
+      RefusalMachine m;
+      Kernel& k = m.kernel;
+      k.Spawn("refused", [&](Process& p) -> Task<> {
+        int pipe_fds[2] = {-1, -1};
+        co_await k.CreatePipe(p, &pipe_fds[0], &pipe_fds[1]);
+        const int src = co_await m.Open(p, r.src, pipe_fds);
+        std::vector<int> dsts;
+        for (const End e : entry == Entry::kMulti ? r.fan : std::vector<End>{r.dst}) {
+          dsts.push_back(co_await m.Open(p, e, pipe_fds));
+        }
+        const Prog prog = entry == Entry::kMulti ? r.fan_prog : r.prog;
+        int kop_id = 0;
+        if (prog != Prog::kNone && prog != Prog::kUnverified) {
+          kop_id = co_await k.KopLoad(p, MakeProgram(prog));
+          EXPECT_GT(kop_id, 0);
+        }
+        if (entry != Entry::kRing && k.GetFile(p, src) != nullptr) {
+          if (prog == Prog::kUnverified) {
+            // kop_attach only binds verified programs; plant one directly.
+            k.GetFile(p, src)->kop_program =
+                std::make_shared<const KopProgram>(MakeProgram(prog));
+          } else if (kop_id != 0) {
+            EXPECT_EQ(co_await k.KopAttach(p, src, kop_id), 0);
+          }
+        }
+        std::vector<int> resolved;
+        for (const int fd : dsts) {
+          if (k.GetFile(p, fd) != nullptr) {
+            resolved.push_back(fd);
+          }
+        }
+        if (k.GetFile(p, src) != nullptr) {
+          resolved.push_back(src);
+        }
+        for (const int fd : resolved) {
+          k.GetFile(p, fd)->splice_error = kStale;
+        }
+        const bool src_is_file =
+            r.src == End::kFile || r.src == End::kMisaligned || r.src == End::kHoles;
+        const int64_t offset_before = src_is_file ? co_await k.Tell(p, src) : -1;
+        const uint64_t started_before = k.splice_engine().stats().splices_started;
+
+        switch (entry) {
+          case Entry::kSplice:
+            EXPECT_EQ(co_await k.Splice(p, src, dsts[0], r.nbytes), -1);
+            break;
+          case Entry::kMulti:
+            EXPECT_EQ(co_await k.SpliceMulti(p, src, dsts, r.nbytes), -1);
+            break;
+          case Entry::kRing: {
+            const int ring = co_await k.RingSetup(p, RingConfig{});
+            SpliceSqe sqe;
+            sqe.src_fd = src;
+            sqe.dst_fd = dsts[0];
+            sqe.nbytes = r.nbytes;
+            sqe.cookie = 5;
+            sqe.kop_id = kop_id;
+            EXPECT_EQ(k.RingPrepare(p, ring, sqe), 0);
+            EXPECT_EQ(co_await k.RingEnter(p, ring, 1, 1), 1);
+            SpliceCqe cqe;
+            EXPECT_EQ(k.RingHarvest(p, ring, &cqe, 1), 1);
+            EXPECT_EQ(cqe.cookie, 5u);
+            EXPECT_EQ(cqe.error, r.ring_err);
+            EXPECT_EQ(cqe.result, 0);
+            break;
+          }
+        }
+
+        const int want = entry == Entry::kRing ? kStale : r.err;
+        for (const int fd : resolved) {
+          EXPECT_EQ(co_await k.SpliceError(p, fd), want) << "fd " << fd;
+        }
+        EXPECT_EQ(k.splice_engine().stats().splices_started, started_before);
+        if (src_is_file) {
+          EXPECT_EQ(co_await k.Tell(p, src), offset_before);
+        }
+      });
+      m.sim.Run();
+      EXPECT_EQ(k.cpu().alive(), 0) << "process deadlocked";
+    }
+  }
+  EXPECT_EQ(runs, 36);
+}
+
+TEST(SpliceRefusalParityTest, RefusedLinkedGroupMovesNoOffset) {
+  // A linked group is admitted whole or not at all.  Its first member
+  // resolves (consuming two blocks of the source) before the second is
+  // refused, so the refusal must also hand those blocks back.
+  RefusalMachine m;
+  Kernel& k = m.kernel;
+  k.Spawn("refused", [&](Process& p) -> Task<> {
+    const int src = co_await m.Open(p, End::kFile, nullptr);
+    const int sock = co_await m.Open(p, End::kSocket, nullptr);
+    const int dst = co_await m.Open(p, End::kDstFile, nullptr);
+    const uint64_t started_before = k.splice_engine().stats().splices_started;
+    const int ring = co_await k.RingSetup(p, RingConfig{});
+    SpliceSqe first;
+    first.src_fd = src;
+    first.dst_fd = sock;
+    first.nbytes = 2 * kBlockSize;
+    first.flags = kSqeLinked;
+    first.cookie = 1;
+    SpliceSqe second;
+    second.src_fd = src;
+    second.dst_fd = dst;
+    second.nbytes = -5;
+    second.cookie = 2;
+    EXPECT_EQ(k.RingPrepare(p, ring, first), 0);
+    EXPECT_EQ(k.RingPrepare(p, ring, second), 0);
+    EXPECT_EQ(co_await k.RingEnter(p, ring, 2, 2), 2);
+    SpliceCqe cqes[2];
+    EXPECT_EQ(k.RingHarvest(p, ring, cqes, 2), 2);
+    EXPECT_EQ(cqes[0].cookie, 1u);
+    EXPECT_EQ(cqes[0].error, kAioECanceled);
+    EXPECT_EQ(cqes[1].cookie, 2u);
+    EXPECT_EQ(cqes[1].error, kAioEInval);
+    EXPECT_EQ(k.splice_engine().stats().splices_started, started_before);
+    EXPECT_EQ(co_await k.Tell(p, src), 0);
+  });
+  m.sim.Run();
+  EXPECT_EQ(k.cpu().alive(), 0) << "process deadlocked";
 }
 
 }  // namespace
