@@ -44,9 +44,9 @@
 
 #include "src/kern/cpu.h"
 #include "src/kern/ctx.h"
+#include "src/kern/kernel_context.h"
 #include "src/kern/lock.h"
 #include "src/sim/callout.h"
-#include "src/sim/krace.h"
 #include "src/splice/splice_engine.h"
 
 #if IKDP_TSA_ENABLED

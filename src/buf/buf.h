@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "src/kern/ctx.h"
-#include "src/sim/krace.h"
+#include "src/kern/kernel_context.h"
 #include "src/sim/kspan.h"
 #include "src/sim/time.h"
 

@@ -3,15 +3,36 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
-#include "src/sim/lockdep.h"
+#include "src/kern/kernel_context.h"
 
 namespace ikdp {
 
 namespace {
-// One simulated CPU, one host thread: a single global tracks the context.
-ExecContext g_context = ExecContext::kHost;
+
+CheckerMode CheckerModeFromEnv(const char* var) {
+  const char* v = std::getenv(var);
+  const std::string mode = v == nullptr ? "" : v;
+  if (mode == "collect") {
+    return CheckerMode::kCollect;
+  }
+  return mode == "abort" || mode == "1" ? CheckerMode::kAbort : CheckerMode::kOff;
+}
+
 }  // namespace
+
+CheckerMode KraceModeFromEnv() {
+  static const CheckerMode mode = CheckerModeFromEnv("IKDP_KRACE");
+  return mode;
+}
+
+CheckerMode LockdepModeFromEnv() {
+  static const CheckerMode mode = CheckerModeFromEnv("IKDP_LOCKDEP");
+  return mode;
+}
+
+KernelContext::KernelContext() = default;
 
 const char* ExecContextName(ExecContext c) {
   switch (c) {
@@ -27,22 +48,25 @@ const char* ExecContextName(ExecContext c) {
   return "?";
 }
 
-ExecContext CurrentExecContext() { return g_context; }
+ExecContext CurrentExecContext() { return Kctx().scope.exec; }
 
 bool AtInterruptLevel() {
-  return g_context == ExecContext::kInterrupt || g_context == ExecContext::kSoftclock;
+  const ExecContext c = CurrentExecContext();
+  return c == ExecContext::kInterrupt || c == ExecContext::kSoftclock;
 }
 
-ContextGuard::ContextGuard(ExecContext ctx) : prev_(g_context) { g_context = ctx; }
+ContextGuard::ContextGuard(ExecContext ctx) : prev_(CurrentExecContext()) {
+  Kctx().scope.exec = ctx;
+}
 
-ContextGuard::~ContextGuard() { g_context = prev_; }
+ContextGuard::~ContextGuard() { Kctx().scope.exec = prev_; }
 
 void AssertCanBlock(const char* what) {
   if (AtInterruptLevel()) {
     ContractAbort(
         "%s at %s level: blocking primitives may only run in process context "
         "(IKDP_CTX_PROCESS); an interrupt/softclock path reached a sleep",
-        what, ExecContextName(g_context));
+        what, ExecContextName(CurrentExecContext()));
   }
   // Every blocking primitive funnels through here, so this is the one
   // dynamic probe lockdep needs for sleep-under-spinlock.
@@ -52,11 +76,11 @@ void AssertCanBlock(const char* what) {
 }
 
 void AssertInterruptLevel(const char* what) {
-  if (g_context != ExecContext::kInterrupt) {
+  if (CurrentExecContext() != ExecContext::kInterrupt) {
     ContractAbort(
         "%s in %s context: interrupt CPU accounting is only legal inside a "
         "RunInterrupt body (IKDP_CTX_INTERRUPT)",
-        what, ExecContextName(g_context));
+        what, ExecContextName(CurrentExecContext()));
   }
 }
 

@@ -253,8 +253,8 @@ enum class ExecContext : uint8_t {
 
 const char* ExecContextName(ExecContext c);
 
-// The context currently executing.  Single simulated CPU, single host
-// thread: one global is exact.
+// The context currently executing on this host thread (scoped state of its
+// kernel context, src/kern/kernel_context.h; one simulated CPU per thread).
 ExecContext CurrentExecContext();
 
 // True at interrupt or softclock level, where blocking is forbidden.
@@ -274,6 +274,20 @@ class ContextGuard {
  private:
   ExecContext prev_;
 };
+
+// Mode of the two dynamic checkers, krace (src/sim/krace.h) and lockdep
+// (src/sim/lockdep.h).
+enum class CheckerMode : uint8_t {
+  kOff = 0,   // probes and hooks are an inlined flag test, no call
+  kCollect,   // record findings; tests assert on them
+  kAbort,     // the first finding calls ContractAbort with both sites
+};
+
+// The modes IKDP_KRACE and IKDP_LOCKDEP select ("abort" or "1", "collect",
+// anything else or unset = off), read from the environment once per
+// process: every thread's kernel context starts from them.
+CheckerMode KraceModeFromEnv();
+CheckerMode LockdepModeFromEnv();
 
 // Aborts with a clear diagnostic unless the current context may block.
 // Called by every blocking primitive (CpuSystem::Sleep / CpuSystem::Use and

@@ -5,22 +5,16 @@
 namespace ikdp {
 
 namespace {
-LockStats g_lock_stats;
-LockChargeHook g_charge_hook = nullptr;
-
-void NoteAcquired(int rank) {
-  LockStats& s = g_lock_stats;
+// Counts an acquisition in this run's lock counters; `kind` is the spin or
+// sleep acquisition counter.
+void NoteAcquired(uint64_t LockStats::*kind, int rank) {
+  LockStats& s = Kctx().run.locks;
+  ++(s.*kind);
   ++s.cur_held;
   s.max_held = std::max(s.max_held, s.cur_held);
   s.max_held_rank = std::max(s.max_held_rank, rank);
 }
 }  // namespace
-
-LockStats& GlobalLockStats() { return g_lock_stats; }
-
-void ResetLockStats() { g_lock_stats = LockStats{}; }
-
-void SetLockChargeHook(LockChargeHook hook) { g_charge_hook = hook; }
 
 void SpinLock::Acquire() {
   if (held_) {
@@ -28,20 +22,13 @@ void SpinLock::Acquire() {
     // never run while this context spins.  Under lockdep the validator owns
     // the report (collect mode records it and treats the acquire as a
     // re-entrant no-op so the run can continue).
-    if (g_charge_hook != nullptr) {
-      g_charge_hook(name_, /*contended=*/true);
-    }
     if (LockdepEnabled()) {
       Lockdep().OnAcquire(this, name_, rank_, /*spin=*/true);
       return;
     }
     ContractAbort("SpinLock %s: re-acquired while held (uniprocessor deadlock)", name_);
   }
-  ++g_lock_stats.spin_acquisitions;
-  NoteAcquired(rank_);
-  if (g_charge_hook != nullptr) {
-    g_charge_hook(name_, /*contended=*/false);
-  }
+  NoteAcquired(&LockStats::spin_acquisitions, rank_);
   if (LockdepEnabled()) {
     Lockdep().OnAcquire(this, name_, rank_, /*spin=*/true);
   }
@@ -56,28 +43,21 @@ void SpinLock::Release() {
     Lockdep().OnRelease(this, name_);
   }
   held_ = false;
-  --g_lock_stats.cur_held;
+  --Kctx().run.locks.cur_held;
 }
 
 void SleepLock::AcquireUncontended() {
   if (held_) {
-    if (g_charge_hook != nullptr) {
-      g_charge_hook(name_, /*contended=*/true);
-    }
     ContractAbort(
         "SleepLock %s: AcquireUncontended found the lock held — a critical "
         "section spanned a suspension point",
         name_);
   }
-  TakeOwnership(/*contended=*/false);
+  TakeOwnership();
 }
 
-void SleepLock::TakeOwnership(bool contended) {
-  ++g_lock_stats.sleep_acquisitions;
-  NoteAcquired(rank_);
-  if (g_charge_hook != nullptr) {
-    g_charge_hook(name_, contended);
-  }
+void SleepLock::TakeOwnership() {
+  NoteAcquired(&LockStats::sleep_acquisitions, rank_);
   if (LockdepEnabled()) {
     // Taking a sleep lock is a may-block point even when it does not sleep:
     // holding a SpinLock here is the sleep-under-spinlock hazard.
@@ -95,7 +75,7 @@ void SleepLock::ReleaseOwnership() {
     Lockdep().OnRelease(this, name_);
   }
   held_ = false;
-  --g_lock_stats.cur_held;
+  --Kctx().run.locks.cur_held;
 }
 
 }  // namespace ikdp

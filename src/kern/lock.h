@@ -1,6 +1,6 @@
 // Lock primitives for the simulated kernel: SpinLock and SleepLock.
 //
-// The simulation runs on one host thread, so these locks never spin or
+// A simulation runs on one host thread, so these locks never spin or
 // contend at host level — they install the DISCIPLINE the SMP kernel will
 // need (ROADMAP: per-CPU run queues, interrupt steering).  Structures shared
 // across the logically-concurrent contexts (process / interrupt / softclock)
@@ -24,9 +24,8 @@
 //
 // COST MODEL: the uncontended fast path of both locks charges ZERO simulated
 // time — Tables 1 and 2 stay byte-identical with every lock installed
-// (bench/perturb_tables proves it across seeds).  SetLockChargeHook installs
-// a cost hook for future SMP experiments that want non-zero acquire costs;
-// the default (nullptr) is the zero-cost model.
+// (bench/perturb_tables proves it across seeds).  The acquisition counters
+// (LockStats) are per-run state of this thread's kernel context.
 //
 // Every lock carries a name and a rank (IKDP_LOCK_RANK annotation on the
 // member, same values passed to the constructor).  Ranks order the lock
@@ -36,35 +35,10 @@
 #ifndef SRC_KERN_LOCK_H_
 #define SRC_KERN_LOCK_H_
 
-#include <cstdint>
-
-#include "src/kern/ctx.h"
-#include "src/sim/lockdep.h"
+#include "src/kern/kernel_context.h"
 #include "src/sim/task.h"
 
 namespace ikdp {
-
-// Always-on lock counters (exported as lock.* in ikdp.telemetry.v1).
-// Plain increments and max-tracking: no simulated time, no allocation.
-struct LockStats {
-  uint64_t spin_acquisitions = 0;
-  uint64_t sleep_acquisitions = 0;
-  // Times a SleepLock acquire found the lock held and slept.  Always zero in
-  // the shipped benches: every deployed critical section is non-suspending.
-  uint64_t sleep_contention = 0;
-  int cur_held = 0;       // locks currently held
-  int max_held = 0;       // max locks held simultaneously this run
-  int max_held_rank = 0;  // highest rank ever held (0 = none yet)
-};
-
-LockStats& GlobalLockStats();
-void ResetLockStats();
-
-// Cost-model hook: called on every acquisition with the lock's name and
-// whether the acquire contended.  nullptr (the default) charges zero
-// simulated time — the tables depend on it.
-using LockChargeHook = void (*)(const char* name, bool contended);
-void SetLockChargeHook(LockChargeHook hook);
 
 // Sleep priority for SleepLock waiters: between disk I/O and user waits.
 inline constexpr int kPriLock = 28;
@@ -130,10 +104,10 @@ class IKDP_TSA_CAPABILITY("mutex") SleepLock {
   IKDP_CTX_PROCESS Task<> Acquire(CpuT* cpu, ProcT& p) IKDP_TSA_ACQUIRE()
       IKDP_TSA_NO_ANALYSIS {
     while (held_) {
-      ++GlobalLockStats().sleep_contention;
+      ++Kctx().run.locks.sleep_contention;
       co_await cpu->Sleep(p, this, kPriLock, /*interruptible=*/false);
     }
-    TakeOwnership(/*contended=*/false);
+    TakeOwnership();
   }
 
   // Release with waiter wakeup (pairs with Acquire).
@@ -152,7 +126,7 @@ class IKDP_TSA_CAPABILITY("mutex") SleepLock {
   int rank() const { return rank_; }
 
  private:
-  void TakeOwnership(bool contended) IKDP_TSA_ACQUIRE();
+  void TakeOwnership() IKDP_TSA_ACQUIRE();
   void ReleaseOwnership() IKDP_TSA_RELEASE();
 
   const char* name_;

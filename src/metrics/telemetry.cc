@@ -4,8 +4,7 @@
 
 #include "src/dev/disk_driver.h"
 #include "src/fs/filesystem.h"
-#include "src/kern/lock.h"
-#include "src/sim/lockdep.h"
+#include "src/kern/kernel_context.h"
 
 namespace ikdp {
 
@@ -163,7 +162,7 @@ void CaptureKernelCounters(MetricsRegistry* registry, Kernel& kernel) {
   // always on; the order-graph numbers come from the lockdep validator and
   // are zeros when IKDP_LOCKDEP is off — emitted anyway so the lock.*
   // namespace is stable across configurations.
-  const LockStats& locks = GlobalLockStats();
+  const LockStats& locks = Kctx().run.locks;
   registry->SetCounter("lock.spin_acquisitions", static_cast<int64_t>(locks.spin_acquisitions));
   registry->SetCounter("lock.sleep_acquisitions",
                        static_cast<int64_t>(locks.sleep_acquisitions));

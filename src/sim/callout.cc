@@ -4,7 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "src/sim/krace.h"
+#include "src/kern/kernel_context.h"
 
 namespace ikdp {
 

@@ -1,17 +1,12 @@
 #include "src/sim/krace.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "src/kern/ctx.h"
+#include "src/kern/kernel_context.h"
 
 namespace ikdp {
-
-namespace krace_internal {
-bool g_enabled = false;
-}  // namespace krace_internal
 
 namespace {
 
@@ -23,20 +18,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-KraceDetector::Mode ModeFromEnv() {
-  const char* v = std::getenv("IKDP_KRACE");
-  if (v == nullptr) {
-    return KraceDetector::Mode::kOff;
-  }
-  if (std::strcmp(v, "collect") == 0) {
-    return KraceDetector::Mode::kCollect;
-  }
-  if (std::strcmp(v, "1") == 0 || std::strcmp(v, "abort") == 0) {
-    return KraceDetector::Mode::kAbort;
-  }
-  return KraceDetector::Mode::kOff;
 }
 
 const char* AccessKindName(KraceAccess k) {
@@ -67,24 +48,23 @@ bool KraceDetector::FieldKeyEq::operator()(const FieldKey& a, const FieldKey& b)
   return a.obj == b.obj && std::strcmp(a.field, b.field) == 0;
 }
 
-KraceDetector::KraceDetector() { SetMode(ModeFromEnv()); }
+KraceDetector& Krace() { return Kctx().run.krace; }
+
+KraceDetector::Mode KraceDetector::mode() const { return Kctx().settings.krace; }
 
 void KraceDetector::SetMode(Mode mode) {
-  mode_ = mode;
-  krace_internal::g_enabled = (mode_ != Mode::kOff);
+  Kctx().settings.krace = mode;
   Reset();
 }
 
-void KraceDetector::Reset() {
-  in_event_ = false;
-  cur_ = 0;
-  now_ = -1;
-  cur_anc_.clear();
-  pending_anc_.clear();
-  channels_.clear();
-  table_.clear();
-  races_.clear();
+void KraceDetector::Reset() { *this = KraceDetector(); }
+
+void KraceDetector::SetPerturbSeed(uint64_t seed) {
+  Kctx().settings.perturb_seed = seed;
+  Reset();
 }
+
+uint64_t KraceDetector::perturb_seed() const { return Kctx().settings.perturb_seed; }
 
 std::string KraceDetector::Race::Describe() const {
   char buf[512];
@@ -117,7 +97,7 @@ void KraceDetector::OnSchedule(EventId child, SimTime when) {
 void KraceDetector::OnEventBegin(EventId id, SimTime when) {
   if (when != now_) {
     if (when < now_) {
-      // The clock went backwards: a new simulation started in this process
+      // The clock went backwards: a new simulation started on this thread
       // without the Simulator-constructor Reset (e.g. a hand-driven
       // EventQueue).  Everything recorded belongs to the previous run, whose
       // event ids this run will reuse; drop it all rather than alias it.
@@ -180,7 +160,7 @@ void KraceDetector::ChannelAcquire(const void* chan) {
 
 void KraceDetector::OnAccess(const void* obj, const char* field, KraceAccess kind,
                              const char* file, int line) {
-  if (mode_ == Mode::kOff || !in_event_) {
+  if (!KraceEnabled() || !in_event_) {
     // Host code (setup, verification) runs strictly between events on one
     // thread; it cannot be reordered against anything.
     return;
@@ -225,7 +205,7 @@ void KraceDetector::ReportRace(const FieldKey& key, const AccessRec& prior,
   race.time = now_;
   race.prior = Site{prior.event, prior.ctx, prior.file, prior.line, prior.kind};
   race.current = Site{cur.event, cur.ctx, cur.file, cur.line, cur.kind};
-  if (mode_ == Mode::kAbort) {
+  if (mode() == Mode::kAbort) {
     ContractAbort("krace: %s", race.Describe().c_str());
   }
   // Collect mode: keep a bounded report (a single hot pair could otherwise
@@ -236,15 +216,11 @@ void KraceDetector::ReportRace(const FieldKey& key, const AccessRec& prior,
 }
 
 uint64_t KraceDetector::TieKey(EventId id) const {
-  if (seed_ == 0) {
+  const uint64_t seed = Kctx().settings.perturb_seed;
+  if (seed == 0) {
     return id;  // historical behaviour: insertion order
   }
-  return Mix64(id ^ seed_);
-}
-
-KraceDetector& Krace() {
-  static KraceDetector detector;
-  return detector;
+  return Mix64(id ^ seed);
 }
 
 }  // namespace ikdp

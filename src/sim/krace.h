@@ -18,7 +18,7 @@
 //    an exact same-timestamp check: two events at one timestamp are ordered
 //    iff a chain of schedule edges (event A, while running, scheduled event
 //    B) or declared ordering-channel edges connects them.  Instrumented
-//    field accesses (IKDP_KRACE_* probes below) from two same-timestamp
+//    field accesses (the IKDP_KRACE_* probes) from two same-timestamp
 //    events with no such chain, where at least one access is a plain write,
 //    are a race: a legal tie-break permutation could reverse them and the
 //    simulation's result would depend on an ordering the kernel never
@@ -56,9 +56,14 @@
 // across, so X -schedule-> A -channel-> B makes X happen-before B.
 //
 // The detector is host-side only: it never advances simulated time, charges
-// no simulated CPU, and with the mode off every probe is a single inlined
-// flag test.  Mode comes from the IKDP_KRACE environment variable ("abort",
-// "1", "collect", anything else/unset = off) or SetMode().
+// no simulated CPU, and with the mode off every probe is an inlined flag
+// test with no call.  Mode comes from the IKDP_KRACE environment variable
+// ("abort", "1", "collect", anything else/unset = off) or SetMode().
+//
+// The detector lives in this host thread's kernel context
+// (src/kern/kernel_context.h), which also defines the IKDP_KRACE_* probes:
+// the mode and seed are context settings, kept until changed; the records
+// are per-run state, cleared by every Simulator constructor.
 
 #ifndef SRC_SIM_KRACE_H_
 #define SRC_SIM_KRACE_H_
@@ -69,6 +74,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/kern/ctx.h"
 #include "src/sim/time.h"
 
 namespace ikdp {
@@ -81,18 +87,15 @@ enum class KraceAccess : uint8_t { kRead = 0, kWrite, kCommute };
 
 class KraceDetector {
  public:
-  enum class Mode : uint8_t {
-    kOff = 0,   // probes compile to a flag test
-    kCollect,   // record races; tests assert on races()
-    kAbort,     // first race calls ContractAbort with both sites
-  };
+  using Mode = CheckerMode;
 
-  KraceDetector();
+  // Move-only: the context resets its per-run state by assignment.
+  KraceDetector() = default;
+  KraceDetector(KraceDetector&&) = default;
+  KraceDetector& operator=(KraceDetector&&) = default;
 
-  KraceDetector(const KraceDetector&) = delete;
-  KraceDetector& operator=(const KraceDetector&) = delete;
-
-  Mode mode() const { return mode_; }
+  // The context's krace mode setting.
+  Mode mode() const;
 
   // Switches mode and clears all per-run state (races, causality).
   void SetMode(Mode mode);
@@ -146,11 +149,8 @@ class KraceDetector {
   // run, so this also clears per-run state (races, causality) — a seed
   // sweep must not compare the new schedule's events against the previous
   // seed's records.
-  void SetPerturbSeed(uint64_t seed) {
-    seed_ = seed;
-    Reset();
-  }
-  uint64_t perturb_seed() const { return seed_; }
+  void SetPerturbSeed(uint64_t seed);
+  uint64_t perturb_seed() const;
 
   // The same-timestamp tie-break key for event `id` under the current seed.
   uint64_t TieKey(EventId id) const;
@@ -190,9 +190,6 @@ class KraceDetector {
 
   void ReportRace(const FieldKey& key, const AccessRec& prior, const AccessRec& cur);
 
-  Mode mode_ = Mode::kOff;
-  uint64_t seed_ = 0;
-
   // Currently executing event.
   bool in_event_ = false;
   EventId cur_ = 0;
@@ -208,39 +205,8 @@ class KraceDetector {
   std::vector<Race> races_;
 };
 
-// The process-wide detector (one simulated machine per process at a time,
-// matching the ContextGuard global in src/kern/ctx.h).
+// This host thread's detector (a member of its kernel context).
 KraceDetector& Krace();
-
-namespace krace_internal {
-// Fast-path flag mirroring Krace().mode() != kOff; kept separate so the
-// disabled probe is a load and branch with no function call.
-extern bool g_enabled;
-}  // namespace krace_internal
-
-inline bool KraceEnabled() { return krace_internal::g_enabled; }
-
-// Field-access probes.  `obj` is the owning object (identity), `field` a
-// string literal naming it "Class::member".  Place at the mutation/read
-// site; when the detector is off these cost one predictable branch.
-#define IKDP_KRACE_READ(obj, field)                                               \
-  do {                                                                            \
-    if (::ikdp::KraceEnabled())                                                   \
-      ::ikdp::Krace().OnAccess((obj), (field), ::ikdp::KraceAccess::kRead,        \
-                               __FILE__, __LINE__);                               \
-  } while (0)
-#define IKDP_KRACE_WRITE(obj, field)                                              \
-  do {                                                                            \
-    if (::ikdp::KraceEnabled())                                                   \
-      ::ikdp::Krace().OnAccess((obj), (field), ::ikdp::KraceAccess::kWrite,       \
-                               __FILE__, __LINE__);                               \
-  } while (0)
-#define IKDP_KRACE_COMMUTE(obj, field)                                            \
-  do {                                                                            \
-    if (::ikdp::KraceEnabled())                                                   \
-      ::ikdp::Krace().OnAccess((obj), (field), ::ikdp::KraceAccess::kCommute,     \
-                               __FILE__, __LINE__);                               \
-  } while (0)
 
 }  // namespace ikdp
 

@@ -7,10 +7,11 @@
 // microsecond of interrupt time, this disk transfer, this softclock tick?
 //
 // Two pieces, both host-side only (attaching them can never change a single
-// simulated nanosecond — the perturbation harness proves it):
+// simulated nanosecond — the perturbation harness proves it), and both kept
+// in this host thread's kernel context (src/kern/kernel_context.h):
 //
-//  * The CURSOR — a global (single host thread, single simulated CPU)
-//    (subsystem, span) pair naming the work the machine is doing right now.
+//  * The CURSOR — scoped state: the (subsystem, span) pair naming the work
+//    the machine is doing right now (one simulated CPU per thread).
 //    KspanScope pushes/pops it RAII-style, mirroring ContextGuard.  The
 //    scheduler pushes the running process's span around every coroutine
 //    resume; interrupt bodies run under the tag captured when the interrupt
@@ -24,13 +25,14 @@
 //    order.  Process code sets Process::span (via CpuSystem::SetSpan)
 //    instead; the scheduler re-pushes it on every resume.
 //
-//  * The COLLECTOR — an optional global recorder of span begin/end pairs.
-//    When detached (the default) KspanBegin() degenerates to "inherit the
-//    cursor's span": descriptors still ride their requester's span and
-//    attribution still groups by request, with zero allocation.  When
-//    attached, Begin mints fresh ids and the collector keeps the whole tree
-//    for export (folded stacks, Chrome span tracks, critical-path
-//    breakdowns — src/metrics/span_trace.h).
+//  * The COLLECTOR — an optional recorder of span begin/end pairs, a context
+//    setting kept until changed, so it can be attached before the code under
+//    test builds its Simulator.  When detached (the default) KspanBegin()
+//    degenerates to "inherit the cursor's span": descriptors still ride
+//    their requester's span and attribution still groups by request, with
+//    zero allocation.  When attached, Begin mints fresh ids and the
+//    collector keeps the whole tree for export (folded stacks, Chrome span
+//    tracks, critical-path breakdowns — src/metrics/span_trace.h).
 //
 // Lifecycle discipline (checked by KspanCollector::CheckBalanced and the
 // fault-matrix suite): every minted span is ended EXACTLY once.  Error
@@ -63,7 +65,7 @@ struct KspanCursor {
   SpanId span = kNoSpan;
 };
 
-// The current cursor.  Single host thread: one global is exact.
+// This thread's current cursor.
 const KspanCursor& CurrentKspan();
 
 // Overwrites the span of the CURRENT cursor in place (no push).  Used by
@@ -151,8 +153,8 @@ class KspanCollector {
   uint64_t bad_ends_ IKDP_GUARDED_BY(any) = 0;
 };
 
-// The attached collector, or nullptr (the default).  Attach before a run,
-// detach after; mid-run detaching orphans open spans.
+// This thread's attached collector, or nullptr (the default).  Attach before
+// a run, detach after; mid-run detaching orphans open spans.
 KspanCollector* Kspan();
 void AttachKspan(KspanCollector* collector);
 

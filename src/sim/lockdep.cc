@@ -1,39 +1,11 @@
 #include "src/sim/lockdep.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <set>
 
-#include "src/kern/ctx.h"
+#include "src/kern/kernel_context.h"
 
 namespace ikdp {
-
-namespace {
-
-LockdepValidator::Mode ModeFromEnv() {
-  const char* v = std::getenv("IKDP_LOCKDEP");
-  if (v == nullptr) {
-    return LockdepValidator::Mode::kOff;
-  }
-  if (std::strcmp(v, "collect") == 0) {
-    return LockdepValidator::Mode::kCollect;
-  }
-  if (std::strcmp(v, "1") == 0 || std::strcmp(v, "abort") == 0) {
-    return LockdepValidator::Mode::kAbort;
-  }
-  return LockdepValidator::Mode::kOff;
-}
-
-}  // namespace
-
-namespace lockdep_internal {
-// Set from the environment at program start, not when the validator is
-// first constructed: the lock hooks test this flag before touching
-// Lockdep(), so a lazily-set flag would leave IKDP_LOCKDEP inert until
-// something else happened to construct the validator.
-bool g_enabled = ModeFromEnv() != LockdepValidator::Mode::kOff;
-}  // namespace lockdep_internal
 
 namespace {
 
@@ -43,19 +15,16 @@ constexpr size_t kMaxViolations = 256;
 
 }  // namespace
 
-LockdepValidator::LockdepValidator() { SetMode(ModeFromEnv()); }
+LockdepValidator& Lockdep() { return Kctx().run.lockdep; }
+
+LockdepValidator::Mode LockdepValidator::mode() const { return Kctx().settings.lockdep; }
 
 void LockdepValidator::SetMode(Mode mode) {
-  mode_ = mode;
-  lockdep_internal::g_enabled = mode != Mode::kOff;
+  Kctx().settings.lockdep = mode;
   Reset();
 }
 
-void LockdepValidator::Reset() {
-  held_.clear();
-  edges_.clear();
-  violations_.clear();
-}
+void LockdepValidator::Reset() { *this = LockdepValidator(); }
 
 std::string LockdepValidator::Violation::Describe() const {
   return "lockdep " + kind + ": " + detail;
@@ -81,7 +50,7 @@ bool LockdepValidator::Reachable(const std::string& from, const std::string& to)
 }
 
 void LockdepValidator::Report(const char* kind, std::string detail) {
-  if (mode_ == Mode::kAbort) {
+  if (mode() == Mode::kAbort) {
     ContractAbort("lockdep %s: %s", kind, detail.c_str());
   }
   if (violations_.size() < kMaxViolations) {
@@ -142,11 +111,6 @@ void LockdepValidator::OnMayBlock(const char* what) {
       return;
     }
   }
-}
-
-LockdepValidator& Lockdep() {
-  static LockdepValidator v;
-  return v;
 }
 
 }  // namespace ikdp

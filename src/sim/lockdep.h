@@ -20,9 +20,14 @@
 // same rules statically over the IKDP_ACQUIRES/IKDP_RELEASES/IKDP_EXCLUDES/
 // IKDP_LOCK_RANK annotations (docs/klock.md).  Like krace, the validator is
 // host-side only: it never advances simulated time, charges no simulated
-// CPU, and with the mode off every hook is a single inlined flag test.
+// CPU, and with the mode off every hook is an inlined flag test with no call.
 // Mode comes from the IKDP_LOCKDEP environment variable ("abort", "1",
 // "collect", anything else/unset = off) or SetMode().
+//
+// The validator lives in this host thread's kernel context
+// (src/kern/kernel_context.h): the mode is a context setting, kept until
+// changed; the held stack, edges and violations are per-run state, cleared
+// by every Simulator constructor.
 
 #ifndef SRC_SIM_LOCKDEP_H_
 #define SRC_SIM_LOCKDEP_H_
@@ -33,22 +38,21 @@
 #include <utility>
 #include <vector>
 
+#include "src/kern/ctx.h"
+
 namespace ikdp {
 
 class LockdepValidator {
  public:
-  enum class Mode : uint8_t {
-    kOff = 0,   // hooks compile to a flag test
-    kCollect,   // record violations; tests assert on violations()
-    kAbort,     // first violation calls ContractAbort with both chains
-  };
+  using Mode = CheckerMode;
 
-  LockdepValidator();
+  // Move-only: the context resets its per-run state by assignment.
+  LockdepValidator() = default;
+  LockdepValidator(LockdepValidator&&) = default;
+  LockdepValidator& operator=(LockdepValidator&&) = default;
 
-  LockdepValidator(const LockdepValidator&) = delete;
-  LockdepValidator& operator=(const LockdepValidator&) = delete;
-
-  Mode mode() const { return mode_; }
+  // The context's lockdep mode setting.
+  Mode mode() const;
 
   // Switches mode and clears all per-run state (held stack, edges,
   // violations).
@@ -96,23 +100,13 @@ class LockdepValidator {
   bool Reachable(const std::string& from, const std::string& to) const;
   void Report(const char* kind, std::string detail);
 
-  Mode mode_ = Mode::kOff;
   std::vector<Held> held_;
   std::map<std::pair<std::string, std::string>, std::string> edges_;
   std::vector<Violation> violations_;
 };
 
-// The process-wide validator (one simulated machine per process at a time,
-// matching the ContextGuard global in src/kern/ctx.h).
+// This host thread's validator (a member of its kernel context).
 LockdepValidator& Lockdep();
-
-namespace lockdep_internal {
-// Fast-path flag mirroring Lockdep().mode() != kOff; kept separate so the
-// disabled hook is a load and branch with no function call.
-extern bool g_enabled;
-}  // namespace lockdep_internal
-
-inline bool LockdepEnabled() { return lockdep_internal::g_enabled; }
 
 }  // namespace ikdp
 

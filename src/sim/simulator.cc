@@ -3,22 +3,17 @@
 #include <cassert>
 #include <utility>
 
-#include "src/kern/lock.h"
-#include "src/sim/krace.h"
+#include "src/kern/kernel_context.h"
 
 namespace ikdp {
 
 Simulator::Simulator() {
   // A new simulator is a new run: EventIds restart at 1 in this queue, and
   // the allocator may hand freshly-constructed kernel objects the same
-  // addresses a previous run used.  Stale records in the process-wide
-  // detector would alias them — a coincidentally equal (id, timestamp,
-  // address) triple reads as "same event" (silently skipping real races)
-  // and an unequal one fabricates a cross-run race.  The lock counters are
-  // process-wide too; without the reset, lock.* telemetry would sum over
-  // every run in the process.
-  Krace().Reset();
-  ResetLockStats();
+  // addresses a previous run used.  Stale krace records would alias them,
+  // lockdep edges and lock counters would sum over every run on this
+  // thread, and datagram serials would depend on earlier runs.
+  Kctx().run = {};
 }
 
 EventId Simulator::After(SimDuration delay, std::function<void()> fn) {

@@ -20,9 +20,10 @@ namespace ikdp {
 
 class Simulator {
  public:
-  // Starting a Simulator starts a new run of the process-wide krace
-  // detector: EventIds restart per event queue, so causality state from a
-  // previous simulation must not alias this one's events (src/sim/krace.h).
+  // Starting a Simulator starts a new run: it clears the per-run state of
+  // this thread's kernel context (src/kern/kernel_context.h) — krace
+  // records, lockdep state, lock counters, the datagram serial — and keeps
+  // its settings.
   Simulator();
 
   Simulator(const Simulator&) = delete;

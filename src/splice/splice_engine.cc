@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "src/hw/fault.h"
-#include "src/sim/krace.h"
+#include "src/kern/kernel_context.h"
 
 namespace ikdp {
 
@@ -39,13 +39,18 @@ void SpliceEngine::ChargeKopCost(SimDuration d) {
   }
 }
 
-void SpliceEngine::Softclock(SpanId span, std::function<void()> fn) {
-  callouts_->ScheduleHead([this, span, fn = std::move(fn)] {
+CalloutId SpliceEngine::Softclock(SpanId span, std::function<void()> fn) {
+  return callouts_->ScheduleHead([this, span, fn = std::move(fn)] {
     // The scope covers the RunInterrupt call so the raise-time attribution
     // tag (and the softclock classification) carries the stream's span.
     KspanScope scope("splice", span);
     cpu_->RunInterrupt(cpu_->costs().softclock_per_callout, fn);
   });
+}
+
+bool SpliceEngine::Registered(SpliceDescriptor* d, uint64_t serial) const {
+  auto it = descriptors_.find(d);
+  return it != descriptors_.end() && it->second->serial_ == serial;
 }
 
 SpliceDescriptor* SpliceEngine::Start(std::unique_ptr<SpliceSource> source,
@@ -209,15 +214,15 @@ void SpliceEngine::ArmReadRetry(SpliceDescriptor* d) {
   }
   IKDP_KRACE_WRITE(d, "SpliceDescriptor::counters");
   d->read_retry_armed_ = true;
-  d->retry_callout_ = callouts_->ScheduleHead([this, d] {
-    KspanScope scope("splice", d->span_);
-    cpu_->RunInterrupt(cpu_->costs().softclock_per_callout, [this, d] {
-      d->lock_.Acquire();
-      d->read_retry_armed_ = false;
-      d->retry_callout_ = kInvalidCalloutId;
-      d->lock_.Release();
-      IssueReads(d);
-    });
+  d->retry_callout_ = Softclock(d->span_, [this, d, serial = d->serial_] {
+    if (!Registered(d, serial)) {
+      return;  // finished (Untimeout came too late) and erased meanwhile
+    }
+    d->lock_.Acquire();
+    d->read_retry_armed_ = false;
+    d->retry_callout_ = kInvalidCalloutId;
+    d->lock_.Release();
+    IssueReads(d);
   });
   d->lock_.Release();
 }
@@ -283,14 +288,14 @@ void SpliceEngine::ArmDrain(SpliceDescriptor* d) {
   }
   IKDP_KRACE_WRITE(d, "SpliceDescriptor::counters");
   d->drain_armed_ = true;
-  callouts_->ScheduleHead([this, d] {
-    KspanScope scope("splice", d->span_);
-    cpu_->RunInterrupt(cpu_->costs().softclock_per_callout, [this, d] {
-      d->lock_.Acquire();
-      d->drain_armed_ = false;
-      d->lock_.Release();
-      DrainWrites(d);
-    });
+  Softclock(d->span_, [this, d, serial = d->serial_] {
+    if (!Registered(d, serial)) {
+      return;  // finished and erased meanwhile
+    }
+    d->lock_.Acquire();
+    d->drain_armed_ = false;
+    d->lock_.Release();
+    DrainWrites(d);
   });
   d->lock_.Release();
 }

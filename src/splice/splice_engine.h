@@ -331,8 +331,13 @@ class SpliceEngine {
   IKDP_CTX_ANY void MaybeFinish(SpliceDescriptor* d);
 
   // Runs `fn` at the next softclock tick, charged as softclock work
-  // attributed to `span`.
-  IKDP_CTX_ANY void Softclock(SpanId span, std::function<void()> fn);
+  // attributed to `span`.  Returns the callout, for Untimeout.
+  IKDP_CTX_ANY CalloutId Softclock(SpanId span, std::function<void()> fn);
+
+  // A body queued for `d` can run after `d` finished and was erased, its
+  // address perhaps reused by a newer splice: such a body touches `d` only
+  // while this holds.
+  bool Registered(SpliceDescriptor* d, uint64_t serial) const;
 
   // Charges handler work to the executing interrupt, or accumulates it for
   // TakeSyncCharge when running in process context (e.g. a read handler

@@ -8,9 +8,9 @@
 
 #include "src/hw/costs.h"
 #include "src/kern/cpu.h"
+#include "src/kern/kernel_context.h"
 #include "src/kern/process.h"
 #include "src/sim/callout.h"
-#include "src/sim/krace.h"
 #include "src/sim/simulator.h"
 
 namespace ikdp {

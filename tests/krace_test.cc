@@ -17,7 +17,7 @@
 #include "src/dev/ram_disk.h"
 #include "src/hw/costs.h"
 #include "src/kern/cpu.h"
-#include "src/sim/krace.h"
+#include "src/kern/kernel_context.h"
 #include "src/sim/simulator.h"
 
 namespace ikdp {
@@ -25,9 +25,10 @@ namespace {
 
 class KraceTest : public ::testing::Test {
  protected:
-  // The detector is process-wide; tests force collect mode and restore
-  // whatever the environment selected (the CI suite runs under
-  // IKDP_KRACE=abort) so neighbouring tests keep their configuration.
+  // The mode is a setting of this thread's kernel context; tests force
+  // collect mode and restore whatever the environment selected (the CI
+  // suite runs under IKDP_KRACE=abort) so neighbouring tests keep their
+  // configuration.
   void SetUp() override {
     saved_mode_ = Krace().mode();
     saved_seed_ = Krace().perturb_seed();
@@ -238,7 +239,7 @@ TEST_F(KraceTest, CancelledChildLeavesNoPendingState) {
 }
 
 TEST_F(KraceTest, PriorRunStateIsDiscardedOnNewSimulator) {
-  // EventIds restart per Simulator, and the detector is process-wide:
+  // EventIds restart per Simulator, and the detector outlives it:
   // without a per-run reset, run 2's events alias run 1's records at the
   // same (address, field, timestamp).  Here run 2's writer has a different
   // id than run 1's, so stale state would fabricate a cross-run race.

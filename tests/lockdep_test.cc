@@ -11,9 +11,9 @@
 
 #include "src/hw/costs.h"
 #include "src/kern/cpu.h"
+#include "src/kern/kernel_context.h"
 #include "src/kern/lock.h"
 #include "src/kern/process.h"
-#include "src/sim/lockdep.h"
 #include "src/sim/simulator.h"
 
 namespace ikdp {
@@ -21,8 +21,8 @@ namespace {
 
 class LockdepTest : public ::testing::Test {
  protected:
-  // The validator is process-wide; force collect mode and restore whatever
-  // the environment selected (CI runs the suite under IKDP_LOCKDEP=abort)
+  // The mode is a setting of this thread's kernel context; force collect
+  // mode and restore whatever the environment selected (CI runs the suite under IKDP_LOCKDEP=abort)
   // so neighbouring tests keep their configuration.
   void SetUp() override {
     saved_mode_ = Lockdep().mode();
@@ -96,14 +96,14 @@ TEST_F(LockdepTest, OffModeIgnoresInversions) {
 }
 
 TEST_F(LockdepTest, AcquisitionCountersTrackDepthAndRank) {
-  ResetLockStats();
+  Simulator sim;  // a new run: resets the lock counters
   SpinLock outer("outer", 10);
   SpinLock inner("inner", 20);
   outer.Acquire();
   inner.Acquire();
   inner.Release();
   outer.Release();
-  const LockStats& s = GlobalLockStats();
+  const LockStats& s = Kctx().run.locks;
   EXPECT_EQ(s.spin_acquisitions, 2u);
   EXPECT_EQ(s.max_held, 2);
   EXPECT_EQ(s.max_held_rank, 20);
@@ -177,7 +177,7 @@ TEST_F(LockdepTest, SleepLockContentionRidesTheScheduler) {
   sim.Run();
 
   EXPECT_EQ(order, "HhC");
-  const LockStats& s = GlobalLockStats();
+  const LockStats& s = Kctx().run.locks;
   EXPECT_EQ(s.sleep_acquisitions, 2u);
   EXPECT_GE(s.sleep_contention, 1u);
   EXPECT_EQ(s.cur_held, 0);

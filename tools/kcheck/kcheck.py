@@ -42,6 +42,13 @@ Rule classes
   stale-waiver         A `kcheck: allow(<rule>)` comment no longer matches
                        any finding (or names an unknown rule); delete it so
                        dead waivers cannot hide future regressions.
+  mutable-global       A namespace-scope variable, function-static
+                       variable or static data member that is neither const
+                       nor constexpr: process-wide mutable state that two
+                       simulations (or two host threads) would share.  Such
+                       state belongs in the kernel context
+                       (src/kern/kernel_context.h), whose one per-thread
+                       definition carries the only waiver.
 
 Lock rules (the static half of klock, docs/klock.md)
 ----------------------------------------------------
@@ -91,6 +98,9 @@ Known approximations of the builtin frontend (see docs/kcheck.md):
     exempt (ownership transfer across calls is the runtime checker's job);
   * double-release is only flagged in straight-line code (no intervening
     closing brace or `else`), so branch-exclusive releases stay quiet.
+  * mutable-global reads a namespace-scope declaration with a parenthesised
+    list before any `=` as a function declaration, so a direct-initialised
+    global (`Foo g(1);`) and variable templates are not seen.
 
 A finding can be waived in place with a trailing `// kcheck: allow(<rule>)`
 comment on the offending line; use sparingly and justify next to it.
@@ -135,7 +145,7 @@ KNOWN_RULES = {
     "buf-release-unowned", "annotation-conflict", "annotation-mismatch",
     "guard-violation", "unknown-order-channel", "stale-waiver",
     "lock-order-cycle", "sleep-under-spinlock", "lock-guard-violation",
-    "unreleased-lock", "double-acquire",
+    "unreleased-lock", "double-acquire", "mutable-global",
     # kpath error-path families (CFG + interprocedural summaries).
     "errno-clobber", "discarded-failure", "resource-leak-on-error-path",
     "charge-context-mismatch",
@@ -325,6 +335,8 @@ class Model:
         # Waivers that actually suppressed a finding this run, so the
         # stale-waiver lint can flag the rest.
         self.used_waivers = set()
+        # file -> comment/string/preprocessor-stripped text (mutable-global).
+        self.code = {}
 
     def function(self, qname):
         fn = self.functions.get(qname)
@@ -1983,6 +1995,134 @@ def check_error_paths(model, findings):
         _check_charge_context(model, fn, findings)
 
 
+# ---------------------------------------------------------------------------
+# mutable-global: process-wide mutable state outside the kernel context
+# ---------------------------------------------------------------------------
+
+# Heads at namespace or class scope that never declare a variable.
+_NON_VARIABLE_HEADS = {
+    "using", "typedef", "namespace", "static_assert", "friend", "extern",
+    "class", "struct", "union", "enum", "template", "public", "private",
+    "protected",
+}
+_ANNOTATION_CALL_RE = re.compile(r"\b(?:IKDP_\w+|__attribute__|alignas)\s*\(")
+
+
+def _strip_annotations(head):
+    """Removes `IKDP_*(...)` / `__attribute__((...))` / `alignas(...)` and
+    access specifiers so a data member's trailing annotation is not read as
+    a parameter list."""
+    while True:
+        m = _ANNOTATION_CALL_RE.search(head)
+        if not m:
+            break
+        close = _match_paren_at(head, m.end() - 1)
+        head = head[:m.start()] + " " + head[close + 1:]
+    head = re.sub(r"\bIKDP_\w+", " ", head)
+    return re.sub(r"\b(?:public|private|protected)\s*:(?!:)", " ", head)
+
+
+def _declared_variable(decl):
+    """(name, is_const) for a variable declaration head without its
+    initializer, or None when `decl` declares no variable."""
+    flat = decl
+    while True:  # drop template arguments: `*` inside them is no pointer
+        nxt = re.sub(r"<[^<>]*>", " ", flat)
+        if nxt == flat:
+            break
+        flat = nxt
+    flat = re.sub(r"\[[^\]]*\]", " ", flat)  # array bounds
+    toks = re.findall(r"[A-Za-z_]\w*|\*|&", flat)
+    idents = [t for t in toks if t not in ("*", "&")]
+    if len(idents) < 2 and not (idents and "*" in toks):
+        return None  # a bare expression or a lone type name
+    name = idents[-1]
+    if "constexpr" in toks:
+        return name, True
+    if "*" in toks:  # the pointer itself must be const: `T* const p`
+        last = len(toks) - 1 - toks[::-1].index("*")
+        return name, "const" in toks[last:]
+    return name, "const" in toks
+
+
+def _check_mutable_decl(model, findings, path, code, head, head_pos, what):
+    stripped = head.strip()
+    if not stripped:
+        return
+    decl = re.split(r"[=({]", stripped, maxsplit=1)[0]
+    var = _declared_variable(decl)
+    if var is None:
+        return
+    name, is_const = var
+    if is_const:
+        return
+    line = line_of(code, head_pos + len(head) - len(head.lstrip()))
+    if model.waived(path, line, "mutable-global"):
+        return
+    findings.append(Finding(
+        "mutable-global", path, line,
+        "%s '%s' is mutable process-wide state: make it const/constexpr or "
+        "move it into the per-thread KernelContext (src/kern/kernel_context.h)"
+        % (what, name)))
+
+
+def _scan_mutable_globals(model, findings, path, code, start, end, scope):
+    """Walks one brace scope (`ns`, `class` or `func`) of stripped code."""
+    i = head_start = start
+    while i < end:
+        c = code[i]
+        if c == "{":
+            close = find_matching_brace(code, i)
+            head = _strip_annotations(code[head_start:i]).strip()
+            first = (re.findall(r"[A-Za-z_]\w*", head) or [""])[0]
+            if scope == "func":
+                if first in ("static", "thread_local"):
+                    i = close + 1  # a brace initializer: keep the head
+                    continue
+                sub = "func"  # a nested block or lambda body
+            elif re.search(r"\bnamespace\b|^extern$", head):
+                sub = "ns"
+            elif re.search(r"\b(?:class|struct|union)\b[^(]*$", head) and \
+                    not re.search(r"\benum\b", head):
+                sub = "class"
+            elif "(" in head and not head.endswith("="):
+                sub = "func"
+            else:
+                i = close + 1  # enum body or brace initializer: keep the head
+                continue
+            _scan_mutable_globals(model, findings, path, code, i + 1, close, sub)
+            i = head_start = close + 1
+            continue
+        if c == ";":
+            head = _strip_annotations(code[head_start:i])
+            toks = re.findall(r"[A-Za-z_]\w*", head)
+            first = toks[0] if toks else ""
+            pre_init = re.split(r"=", head, maxsplit=1)[0]
+            if scope == "func":
+                if first in ("static", "thread_local"):
+                    _check_mutable_decl(model, findings, path, code, head, head_start,
+                                        "function-static variable")
+            elif scope == "class":
+                if "static" in toks[:3] and "(" not in pre_init:
+                    _check_mutable_decl(model, findings, path, code, head, head_start,
+                                        "static data member")
+            elif first not in _NON_VARIABLE_HEADS and "(" not in pre_init and \
+                    "operator" not in toks:
+                _check_mutable_decl(model, findings, path, code, head, head_start,
+                                    "namespace-scope variable")
+            head_start = i + 1
+        elif c == "}":
+            head_start = i + 1
+        i += 1
+
+
+def check_mutable_globals(model, findings):
+    """mutable-global: namespace-scope variables, function-static variables
+    and static data members that are neither const nor constexpr."""
+    for path, code in model.code.items():
+        _scan_mutable_globals(model, findings, path, code, 0, len(code), "ns")
+
+
 def check_stale_waivers(model, findings):
     """Waiver comments that suppressed nothing this run.
 
@@ -2182,6 +2322,7 @@ def run_builtin(srcs, cache=None):
             tokens = blank_preprocessor_lines(strip_comments_and_strings(text))
             if key is not None:
                 cache.put_tokens(key, tokens)
+        model.code[rel] = tokens
         FileParser(model, rel, tokens).parse()
     return model
 
@@ -2312,6 +2453,7 @@ def main(argv=None):
         check_buf_discipline(model, findings)
         check_lock_discipline(model, findings)
         check_error_paths(model, findings)
+        check_mutable_globals(model, findings)
         check_stale_waivers(model, findings)  # last: consumes used_waivers
         n_functions = len(model.functions)
 

@@ -106,6 +106,20 @@ class FixtureRejection(unittest.TestCase):
         self.assert_rule(findings, "stale-waiver", "undominated-charge")
         self.assert_rule(findings, "stale-waiver", "unknown rule")
 
+    def test_mutable_global(self):
+        rc, findings = run_kcheck(fixture("bad_mutable_global.cc"))
+        self.assertEqual(rc, 1)
+        for name in ("g_serial", "g_name", "t_depth", "count_", "detector",
+                     "cache"):
+            self.assert_rule(findings, "mutable-global", "'%s'" % name)
+        # Constants, const pointers, constexpr members, locals and the
+        # waived definition stay quiet.
+        msgs = " ".join(f["message"] for f in findings)
+        for name in ("kLimit", "kLabel", "kTable", "kMax", "kOnce", "local",
+                     "live_", "'one'"):
+            self.assertNotIn(name, msgs)
+        self.assertEqual(len(findings), 6, findings)
+
     def test_annotation_conflict(self):
         rc, findings = run_kcheck(fixture("bad_annotation_conflict.cc"))
         self.assertEqual(rc, 1)
