@@ -151,8 +151,7 @@ class SpliceRing {
 
   // Admits one resolved group: records submission, queues the ops, and
   // starts whatever the in-flight cap allows (in the caller's context —
-  // synchronous-device setup costs land in the engine's sync-charge ledger
-  // for the syscall layer to drain).
+  // the caller owes synchronous-device setup costs; CpuSystem::Charge).
   IKDP_CTX_PROCESS void AdmitGroup(std::vector<PreparedOp> group);
 
   // Posts an immediate-failure completion for an SQE that failed validation

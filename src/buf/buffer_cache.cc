@@ -260,18 +260,7 @@ void BufferCache::TraceLookup(bool hit, const BlockDevice* dev, int64_t blkno) {
 
 void BufferCache::SubmitIo(Buf* b) {
   BufStateChecker::OnIoSubmit(*b);
-  const SimDuration cost = cpu_->costs().driver_start + b->dev->Strategy(*b);
-  if (cpu_->InInterrupt()) {
-    cpu_->ChargeInterrupt(cost);
-  } else {
-    pending_sync_charge_ += cost;
-  }
-}
-
-void BufferCache::ChargeIfInterrupt(SimDuration d) {
-  if (cpu_->InInterrupt()) {
-    cpu_->ChargeInterrupt(d);
-  }
+  cpu_->Charge(cpu_->costs().driver_start + b->dev->Strategy(*b));
 }
 
 // --- completion ---
@@ -370,10 +359,7 @@ Task<Buf*> BufferCache::GetBlk(Process& p, BlockDevice* dev, int64_t blkno) {
       }
       lock_.Release();
       TraceLookup(hit, dev, blkno);
-      const SimDuration charge = std::exchange(pending_sync_charge_, 0);
-      if (charge > 0) {
-        co_await cpu_->Use(p, charge);
-      }
+      co_await cpu_->PayOwed(p);
       co_return b;
     }
     Buf* busy = Incore(dev, blkno);
@@ -400,10 +386,7 @@ Task<Buf*> BufferCache::Bread(Process& p, BlockDevice* dev, int64_t blkno) {
   }
   b->Set(kBufRead);
   SubmitIo(b);
-  const SimDuration charge = std::exchange(pending_sync_charge_, 0);
-  if (charge > 0) {
-    co_await cpu_->Use(p, charge);
-  }
+  co_await cpu_->PayOwed(p);
   co_await Biowait(p, b);
   co_return b;
 }
@@ -457,10 +440,7 @@ Task<> BufferCache::Bwrite(Process& p, Buf* b) {
   b->Clear(kBufDone);
   b->Clear(kBufAsync);
   SubmitIo(b);
-  const SimDuration charge = std::exchange(pending_sync_charge_, 0);
-  if (charge > 0) {
-    co_await cpu_->Use(p, charge);
-  }
+  co_await cpu_->PayOwed(p);
   co_await Biowait(p, b);
   Brelse(b);
 }
@@ -475,10 +455,7 @@ Task<> BufferCache::Bawrite(Process& p, Buf* b) {
   ++pending_writes_[b->dev];
   lock_.Release();
   SubmitIo(b);
-  const SimDuration charge = std::exchange(pending_sync_charge_, 0);
-  if (charge > 0) {
-    co_await cpu_->Use(p, charge);
-  }
+  co_await cpu_->PayOwed(p);
 }
 
 void BufferCache::Bdwrite(Process& /*p*/, Buf* b) {
@@ -514,10 +491,7 @@ Task<> BufferCache::FlushDev(Process& p, BlockDevice* dev) {
     ++pending_writes_[dev];
     lock_.Release();
     SubmitIo(b);
-    const SimDuration charge = std::exchange(pending_sync_charge_, 0);
-    if (charge > 0) {
-      co_await cpu_->Use(p, charge);
-    }
+    co_await cpu_->PayOwed(p);
   }
   while (PendingWrites(dev) > 0) {
     co_await cpu_->Sleep(p, &pending_writes_, kPriBio);
@@ -560,7 +534,7 @@ int BufferCache::PendingWrites(BlockDevice* dev) const {
 // --- splice (non-blocking) API ---
 
 bool BufferCache::BreadAsync(BlockDevice* dev, int64_t blkno, std::function<void(Buf&)> iodone) {
-  ChargeIfInterrupt(cpu_->costs().bufcache_op);
+  cpu_->ChargeIfInterrupt(cpu_->costs().bufcache_op);
   lock_.Acquire();
   bool hit = false;
   Buf* b = TryGetBlk(dev, blkno, &hit);
@@ -599,7 +573,7 @@ Buf* BufferCache::AllocTransientHeader(BlockDevice* dev, int64_t blkno) {
   b->transient = true;
   b->data = nullptr;  // "avoids allocating any real memory to the buffer"
   ++stats_.transient_allocs;
-  ChargeIfInterrupt(cpu_->costs().bufcache_op);
+  cpu_->ChargeIfInterrupt(cpu_->costs().bufcache_op);
   return b;
 }
 
@@ -613,7 +587,7 @@ void BufferCache::FreeTransientHeader(Buf* b) {
 
 void BufferCache::BawriteAsync(Buf* b, std::function<void(Buf&)> iodone) {
   assert(b->Has(kBufBusy));
-  ChargeIfInterrupt(cpu_->costs().bufcache_op);
+  cpu_->ChargeIfInterrupt(cpu_->costs().bufcache_op);
   b->Clear(kBufRead);
   b->Clear(kBufDone);
   b->Set(kBufAsync);

@@ -17,9 +17,8 @@
 //    pointer is aliased to the read-side buffer.
 //
 // CPU charging convention: process-context coroutines charge the calling
-// process; non-blocking calls charge the executing interrupt when invoked at
-// interrupt level and charge nothing otherwise (the syscall layer accounts
-// for splice-setup work explicitly).
+// process; device submissions bill through CpuSystem::Charge; the
+// non-blocking calls' own bookkeeping is billed at interrupt level only.
 
 #ifndef SRC_BUF_BUFFER_CACHE_H_
 #define SRC_BUF_BUFFER_CACHE_H_
@@ -134,12 +133,6 @@ class BufferCache {
   // for the lookup — callers must not already hold it.
   IKDP_EXCLUDES(cache) int PendingWrites(BlockDevice* dev) const;
 
-  // Drains CPU cost accumulated by process-context SubmitIo() calls on the
-  // non-blocking API (e.g. the synchronous RAM-disk copies behind the
-  // initial reads a splice issues at setup).  The syscall layer charges this
-  // to the calling process.
-  SimDuration TakeSyncCharge() { return std::exchange(pending_sync_charge_, 0); }
-
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -193,11 +186,8 @@ class BufferCache {
   // Records a kBreadHit / kBreadMiss trace event when a log is attached.
   void TraceLookup(bool hit, const BlockDevice* dev, int64_t blkno);
 
-  // Issues `b` to its device, charging the submitting context.
+  // Issues `b` to its device; CpuSystem::Charge bills the driver work.
   IKDP_CTX_ANY void SubmitIo(Buf* b);
-
-  // Charges `d` to the current interrupt if executing at interrupt level.
-  IKDP_CTX_ANY void ChargeIfInterrupt(SimDuration d);
 
   CpuSystem* cpu_;
   const int nbufs_;
@@ -225,7 +215,6 @@ class BufferCache {
   std::map<const BlockDevice*, int> pending_writes_ IKDP_GUARDED_BY(lock:cache);
   std::unordered_map<Buf*, std::unique_ptr<Buf>> transients_ IKDP_GUARDED_BY(lock:cache);
   int freelist_waiters_chan_ = 0;  // sleep channel for free-list exhaustion
-  SimDuration pending_sync_charge_ = 0;
   Stats stats_;
 };
 

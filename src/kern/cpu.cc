@@ -261,6 +261,10 @@ void CpuSystem::Activate(Process* p) {
     p->started_ = true;
     p->body_.Start([this, p] {
       // Body ran to completion ("exit").
+      if (p->owed_ != 0 || p->owed_kop_ != 0) {
+        ContractAbort("process %s exited owing %lld ns of kernel work", p->name().c_str(),
+                      static_cast<long long>(p->owed_ + p->owed_kop_));
+      }
       p->state_ = ProcState::kDead;
       --alive_;
       assert(current_ == p);
@@ -452,6 +456,30 @@ void CpuSystem::ChargeKop(SimDuration t) {
                                   : ChargeBucket::kKopInterrupt;
   const KspanCursor& cur = CurrentKspan();
   Attribute(bucket, "kop", cur.span, t);
+}
+
+void CpuSystem::Charge(SimDuration t, bool kop) {
+  if (InInterrupt()) {
+    kop ? ChargeKop(t) : ChargeInterrupt(t);
+  } else if (CurrentExecContext() == ExecContext::kProcess) {
+    assert(current_ != nullptr);
+    (kop ? current_->owed_kop_ : current_->owed_) += t;
+  }
+}
+
+void CpuSystem::ChargeIfInterrupt(SimDuration t) {
+  if (InInterrupt()) {
+    ChargeInterrupt(t);
+  }
+}
+
+Task<> CpuSystem::PayOwed(Process& p) {
+  if (const SimDuration t = std::exchange(p.owed_, 0); t > 0) {
+    co_await Use(p, t);
+  }
+  if (const SimDuration t = std::exchange(p.owed_kop_, 0); t > 0) {
+    co_await UseKop(p, t);
+  }
 }
 
 void CpuSystem::DrainInterrupts() {

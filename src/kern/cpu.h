@@ -112,8 +112,24 @@ class CpuSystem {
   // the operator, so attribution shows operator cost per request exactly.
   IKDP_CTX_INTERRUPT void ChargeKop(SimDuration t);
 
-  // True while a RunInterrupt body is executing.
-  bool InInterrupt() const { return in_interrupt_; }
+  // --- who pays for kernel work that can run in any context ---
+  // The buffer cache, the splice handlers and UDP output bill it here, by one
+  // rule: at interrupt level the running interrupt pays (ChargeInterrupt, or
+  // ChargeKop for operator execution); in process context current() owes it,
+  // pays at its next PayOwed(), and must not exit owing (ContractAbort); in
+  // host context (a test or harness with no process) nobody pays.
+
+  // Bills `t` by that rule; `kop` marks in-kernel operator execution.
+  IKDP_CTX_ANY void Charge(SimDuration t, bool kop = false);
+
+  // Bills `t` at interrupt level only: in process context the syscall layer
+  // already charges this work to the caller.
+  IKDP_CTX_ANY void ChargeIfInterrupt(SimDuration t);
+
+  // Pays what `p` owes: plain work through Use(), then operator work through
+  // UseKop(); completes without suspending when nothing is owed.  Called at
+  // the drain points: the buffer cache's blocking calls, splice, ring_enter.
+  IKDP_CTX_PROCESS Task<> PayOwed(Process& p);
 
   // The currently running process, or nullptr (idle / interrupt only).
   Process* current() const { return current_; }
@@ -250,6 +266,9 @@ class CpuSystem {
 
   // Adds completed work to the running process's usage estimate.
   void AccountUsage(Process* p, SimDuration work);
+
+  // True while a RunInterrupt body is executing.
+  bool InInterrupt() const { return in_interrupt_; }
 
   // Shared body of Use()/UseKop(); `kop` selects which bucket AccountUsage
   // attributes completed bursts to (Process::kop_charge_).

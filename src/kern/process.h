@@ -144,6 +144,12 @@ class Process {
   // attributed to the kKopProcess bucket.  Frozen while the coroutine is
   // suspended (set at every Use entry), like span_.
   bool kop_charge_ = false;
+  // Kernel work this process ran in process context and has not paid for
+  // yet (CpuSystem::Charge), split like Use()/UseKop(): plain work, then
+  // operator execution.  Both are paid and zeroed at its next
+  // CpuSystem::PayOwed and must be zero when the process exits.
+  SimDuration owed_ = 0;
+  SimDuration owed_kop_ = 0;
   const void* sleep_channel_ = nullptr;
   bool sleep_interruptible_ = false;
 

@@ -35,9 +35,7 @@ bool UdpSocket::SendAsync(BufData data, int64_t nbytes, std::function<void()> do
   // Output protocol processing runs in the sender's context; charge it when
   // that context is an interrupt (splice handlers).  Process-context sends
   // are charged by the syscall layer.
-  if (cpu_->InInterrupt()) {
-    cpu_->ChargeInterrupt(cpu_->costs().UdpPacketTime(nbytes));
-  }
+  cpu_->ChargeIfInterrupt(cpu_->costs().UdpPacketTime(nbytes));
   UdpSocket* peer = peer_;
   // The sender's kspan rides the wire: the leave-interface and delivery
   // events attribute to the request that queued the datagram, however long

@@ -293,7 +293,8 @@ Task<std::unique_ptr<SpliceSource>> Kernel::MakeSource(Process& p,
       }
       const int64_t len = nbytes == kSpliceEof ? -1 : nbytes;
       *resolved_bytes = len;
-      co_return std::make_unique<DeviceSpliceSource>(df->dev(), len, kBlockSize, sink_is_file);
+      co_return std::make_unique<DeviceSpliceSource>(&cpu_, df->dev(), len, kBlockSize,
+                                                     sink_is_file);
     }
     case File::Kind::kSocket: {
       auto* sf = static_cast<SocketFile*>(f.get());
@@ -310,7 +311,8 @@ Task<std::unique_ptr<SpliceSource>> Kernel::MakeSource(Process& p,
       // until the writer's EOF (which ReadAsync reports as 0 bytes).
       const int64_t len = nbytes == kSpliceEof ? -1 : nbytes;
       *resolved_bytes = len;
-      co_return std::make_unique<DeviceSpliceSource>(pf->pipe(), len, kBlockSize, sink_is_file);
+      co_return std::make_unique<DeviceSpliceSource>(&cpu_, pf->pipe(), len, kBlockSize,
+                                                     sink_is_file);
     }
   }
   co_return nullptr;
@@ -433,20 +435,6 @@ Task<int> Kernel::ResolveSplice(Process& p, const std::shared_ptr<File>& src,
   co_return 0;
 }
 
-Task<> Kernel::ChargeParked(Process& p) {
-  const SimDuration charge = cache_.TakeSyncCharge() + splice_.TakeSyncCharge();
-  if (charge > 0) {
-    co_await cpu_.Use(p, charge);
-  }
-  // Operator work performed synchronously during setup (chunks that ran the
-  // program inside Start on a synchronous device) is charged apart so it
-  // lands in the kop.process attribution bucket.
-  const SimDuration kcharge = splice_.TakeSyncKopCharge();
-  if (kcharge > 0) {
-    co_await cpu_.UseKop(p, kcharge);
-  }
-}
-
 Task<int64_t> Kernel::RunSplice(Process& p, std::vector<std::shared_ptr<File>> ends,
                                 ResolvedSplice rs) {
   // "The splice operates asynchronously if either of the file descriptors
@@ -496,7 +484,7 @@ Task<int64_t> Kernel::RunSplice(Process& p, std::vector<std::shared_ptr<File>> e
       });
   // The initial read batch was issued from this process's context inside
   // Start; synchronous devices performed their copies right there.
-  co_await ChargeParked(p);
+  co_await cpu_.PayOwed(p);
   if (async) {
     co_return 0;
   }
@@ -753,9 +741,9 @@ Task<int> Kernel::RingEnter(Process& p, int ring_id, int to_submit, int min_comp
   if (submitted > 0) {
     ring->NoteSubmitBatch(submitted);
   }
-  // Endpoint setup and any synchronous-device work above ran in this
-  // process's context; charge it here, all under the one trap.
-  co_await ChargeParked(p);
+  // Pay for the setup work still owed (each earlier group's share was paid
+  // at the next group's block-map lookup), all under the one trap.
+  co_await cpu_.PayOwed(p);
 
   if (submitted == 0 && sq_full && !ring->config().block_on_full) {
     ring->NoteEagain();

@@ -297,10 +297,6 @@ class Kernel {
   IKDP_CTX_PROCESS Task<int64_t> RunSplice(Process& p, std::vector<std::shared_ptr<File>> ends,
                                            ResolvedSplice rs);
 
-  // Charges the CPU work parked while splice setup ran in process context
-  // (buffer cache, engine handlers, then operator work) to `p`.
-  IKDP_CTX_PROCESS Task<> ChargeParked(Process& p);
-
   // The fd entry shared by splice and splice_multi: looks up the
   // descriptors, picks the program, resolves, runs, and records a refusal's
   // errno on every descriptor that resolved.  `fan_out` is splice_multi's

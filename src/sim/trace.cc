@@ -1,6 +1,7 @@
 #include "src/sim/trace.h"
 
 #include <cstdio>
+#include <cstring>
 
 namespace ikdp {
 
@@ -84,6 +85,14 @@ const char* TraceKindName(TraceKind k) {
       return "kop-reject";
   }
   return "?";
+}
+
+const char* TraceLog::InternNamed(const char* tag) {
+  const char*& copy = by_address_[tag];
+  if (copy == nullptr || std::strcmp(copy, tag) != 0) {
+    copy = tags_.emplace(tag).first->c_str();
+  }
+  return copy;
 }
 
 void TraceLog::Dump(std::ostream& os) const {

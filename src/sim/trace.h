@@ -6,9 +6,10 @@
 // and splice lifecycle events; tests and debugging sessions snapshot or dump
 // the ring to see exactly what the machine did and when.
 //
-// Records carry two integer arguments and a static tag string; meaning is
-// per-event (documented at each recording site).  Tags must point at storage
-// that outlives the log (string literals, or names owned by a live device).
+// Records carry two integer arguments and a tag string; meaning is
+// per-event (documented at each recording site).  The log interns tags by
+// content, so a record's tag stays valid for the log's lifetime even when
+// the name it was copied from (a process's, a device's) is gone.
 //
 // Several kinds form begin/end pairs from which intervals can be
 // reconstructed (src/metrics/telemetry.h does this online, and the Chrome
@@ -34,7 +35,9 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -104,7 +107,7 @@ struct TraceRecord {
   TraceKind kind = TraceKind::kDispatch;
   int64_t a = 0;
   int64_t b = 0;
-  const char* tag = "";  // static storage only
+  const char* tag = "";  // interned by the log: valid while the log lives
   // The span the machine was working on when the record was written (the
   // kspan cursor; see src/sim/kspan.h).  0 when untagged.  Stamped
   // automatically by Record(); the span exporters group records into
@@ -120,7 +123,7 @@ class TraceLog {
   TraceLog& operator=(const TraceLog&) = delete;
 
   void Record(SimTime t, TraceKind kind, int64_t a = 0, int64_t b = 0, const char* tag = "") {
-    TraceRecord rec{t, kind, a, b, tag, CurrentKspan().span};
+    TraceRecord rec{t, kind, a, b, Intern(tag), CurrentKspan().span};
     if (ring_.size() < capacity_) {
       ring_.push_back(rec);
     } else {
@@ -185,11 +188,20 @@ class TraceLog {
   void Dump(std::ostream& os) const;
 
  private:
+  // The log's own copy of `tag`, one per distinct content: set nodes never
+  // move, so a record's tag stays valid for the log's lifetime.  Empty tags
+  // need no copy; named ones are found by the caller's pointer first, and
+  // the content check catches a freed name whose address now holds another.
+  const char* Intern(const char* tag) { return tag[0] == '\0' ? "" : InternNamed(tag); }
+  const char* InternNamed(const char* tag);
+
   size_t capacity_;
   std::vector<TraceRecord> ring_;
   uint64_t next_ = 0;
   std::function<void(const TraceRecord&)> observer_;
   std::vector<std::function<void(const TraceRecord&)>> extra_observers_;
+  std::set<std::string> tags_;
+  std::unordered_map<const char*, const char*> by_address_;
 };
 
 }  // namespace ikdp

@@ -19,26 +19,6 @@ namespace ikdp {
 SpliceEngine::SpliceEngine(CpuSystem* cpu, CalloutTable* callouts)
     : cpu_(cpu), callouts_(callouts) {}
 
-void SpliceEngine::Charge(SimDuration d) {
-  if (cpu_->InInterrupt()) {
-    cpu_->ChargeInterrupt(d);
-  } else {
-    // Process context: a handler ran synchronously under a Start call (the
-    // RAM disk completes reads inline).  Dropping the cost here would make
-    // spliced setup look cheaper than it is; park it for the syscall layer
-    // to charge to the calling process via TakeSyncCharge.
-    pending_sync_charge_ += d;
-  }
-}
-
-void SpliceEngine::ChargeKopCost(SimDuration d) {
-  if (cpu_->InInterrupt()) {
-    cpu_->ChargeKop(d);
-  } else {
-    pending_sync_kop_charge_ += d;
-  }
-}
-
 CalloutId SpliceEngine::Softclock(SpanId span, std::function<void()> fn) {
   return callouts_->ScheduleHead([this, span, fn = std::move(fn)] {
     // The scope covers the RunInterrupt call so the raise-time attribution
@@ -229,7 +209,7 @@ void SpliceEngine::ArmReadRetry(SpliceDescriptor* d) {
 
 void SpliceEngine::ReadDone(SpliceDescriptor* d, SpliceChunk chunk) {
   KspanScope scope("splice", d->span_);
-  Charge(cpu_->costs().splice_read_handler);
+  cpu_->Charge(cpu_->costs().splice_read_handler);
   IKDP_KRACE_WRITE(d, "SpliceDescriptor::counters");
   d->lock_.Acquire();
   --d->pending_reads_;
@@ -322,7 +302,7 @@ void SpliceEngine::DrainWrites(SpliceDescriptor* d) {
 
 bool SpliceEngine::StartChunkWrite(SpliceDescriptor* d, SpliceChunk chunk) {
   KspanScope scope("splice", d->span_);
-  Charge(cpu_->costs().splice_write_handler);
+  cpu_->Charge(cpu_->costs().splice_write_handler);
   IKDP_KRACE_WRITE(d, "SpliceDescriptor::counters");
   d->lock_.Acquire();
   if (d->cancelled_) {
@@ -378,7 +358,7 @@ bool SpliceEngine::StartChunkWrite(SpliceDescriptor* d, SpliceChunk chunk) {
     // Ablation: copy between kernel buffers instead of sharing the data
     // area.  The simulation charges the copy and physically duplicates the
     // bytes so content checks stay honest.
-    Charge(cpu_->costs().BcopyTime(chunk.nbytes));
+    cpu_->Charge(cpu_->costs().BcopyTime(chunk.nbytes));
     chunk.data = std::make_shared<std::vector<uint8_t>>(*chunk.data);
   }
   // Count the write BEFORE starting it: synchronous sinks (RAM disk)
@@ -413,7 +393,7 @@ bool SpliceEngine::StartChunkWrite(SpliceDescriptor* d, SpliceChunk chunk) {
 
 void SpliceEngine::WriteDone(SpliceDescriptor* d, SpliceChunk chunk, bool ok) {
   KspanScope scope("splice", d->span_);
-  Charge(cpu_->costs().splice_wdone_handler);
+  cpu_->Charge(cpu_->costs().splice_wdone_handler);
   IKDP_KRACE_WRITE(d, "SpliceDescriptor::counters");
   d->lock_.Acquire();
   --d->pending_writes_;
@@ -484,7 +464,7 @@ KopOutcome SpliceEngine::ExecKop(SpliceDescriptor* d, SpliceChunk& chunk) {
     KspanScope scope("kop", span);
     out = KopExecChunk(*d->opts_.kop_program, chunk, &d->kop_, cpu_->costs());
     // Charged inside the scope so the kop buckets attribute to this span.
-    ChargeKopCost(out.cost);
+    cpu_->Charge(out.cost, /*kop=*/true);
     if (cpu_->trace() != nullptr) {
       cpu_->trace()->Record(now, TraceKind::kKopExec, static_cast<int64_t>(d->serial_),
                             static_cast<int64_t>(out.cost));

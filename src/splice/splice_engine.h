@@ -273,16 +273,6 @@ class SpliceEngine {
   };
   const Stats& stats() const { return stats_; }
 
-  // Drains handler CPU cost accumulated while running in process context
-  // (handlers invoked synchronously from a Start call rather than from an
-  // interrupt).  The syscall layer charges this to the calling process;
-  // mirrors BufferCache::TakeSyncCharge.
-  SimDuration TakeSyncCharge() { return std::exchange(pending_sync_charge_, 0); }
-
-  // Same, for operator execution cost: charged to the calling process via
-  // CpuSystem::UseKop so it lands in the kKopProcess attribution bucket.
-  SimDuration TakeSyncKopCharge() { return std::exchange(pending_sync_kop_charge_, 0); }
-
  private:
   // Issues reads up to the refill batch (paper Section 5.2.4).
   IKDP_CTX_ANY void IssueReads(SpliceDescriptor* d);
@@ -339,20 +329,9 @@ class SpliceEngine {
   // while this holds.
   bool Registered(SpliceDescriptor* d, uint64_t serial) const;
 
-  // Charges handler work to the executing interrupt, or accumulates it for
-  // TakeSyncCharge when running in process context (e.g. a read handler
-  // invoked synchronously by a RAM-disk Strategy during splice setup).
-  IKDP_CTX_ANY void Charge(SimDuration d);
-
-  // Charge() for operator execution: ChargeKop at interrupt level (kop
-  // interrupt/softclock buckets), parked for TakeSyncKopCharge otherwise.
-  IKDP_CTX_ANY void ChargeKopCost(SimDuration d);
-
   CpuSystem* cpu_;
   CalloutTable* callouts_;
   std::unordered_map<SpliceDescriptor*, std::unique_ptr<SpliceDescriptor>> descriptors_;
-  SimDuration pending_sync_charge_ = 0;
-  SimDuration pending_sync_kop_charge_ = 0;
   Stats stats_;
 };
 

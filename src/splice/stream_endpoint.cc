@@ -54,28 +54,37 @@ bool DeviceSpliceSource::StartRead(int64_t index, std::function<void(SpliceChunk
 bool DeviceSpliceSource::IssueRead(int64_t index, int64_t target,
                                    std::function<void(SpliceChunk)> done) {
   const int64_t want = target - static_cast<int64_t>(acc_->size());
-  return dev_->ReadAsync(
-      want, [this, index, target, done = std::move(done)](BufData data, int64_t n) {
-        if (n > 0) {
-          acc_->insert(acc_->end(), data->begin(), data->begin() + n);
-          if (remaining_ >= 0) {
-            remaining_ -= n;
-          }
-        } else {
-          saw_eof_ = true;
-        }
-        const bool full = static_cast<int64_t>(acc_->size()) >= target;
-        if (!coalesce_ || full || saw_eof_ || remaining_ == 0) {
-          Deliver(index, done);
-          return;
-        }
-        // Short delivery: keep accumulating this chunk.  A refusal here
-        // cannot happen (this source is the device's only reader), but
-        // deliver what we have rather than wedging if it ever does.
-        if (!IssueRead(index, target, done)) {
-          Deliver(index, done);
-        }
-      });
+  auto on_data = [this, index, target, done = std::move(done)](const BufData& data, int64_t n) {
+    if (n > 0) {
+      acc_->insert(acc_->end(), data->begin(), data->begin() + n);
+      if (remaining_ >= 0) {
+        remaining_ -= n;
+      }
+    } else {
+      saw_eof_ = true;
+    }
+    const bool full = static_cast<int64_t>(acc_->size()) >= target;
+    if (!coalesce_ || full || saw_eof_ || remaining_ == 0) {
+      Deliver(index, done);
+      return;
+    }
+    // Short delivery: keep accumulating this chunk.  A refusal here cannot
+    // happen (this source is the device's only reader), but deliver what we
+    // have rather than wedging if it ever does.
+    if (!IssueRead(index, target, done)) {
+      Deliver(index, done);
+    }
+  };
+  in_read_call_ = true;
+  const bool ok = dev_->ReadAsync(want, [this, on_data](BufData data, int64_t n) {
+    if (in_read_call_) {
+      on_data(data, n);
+    } else {  // device completion interrupt
+      cpu_->RunInterrupt(cpu_->costs().interrupt_overhead, [on_data, data, n] { on_data(data, n); });
+    }
+  });
+  in_read_call_ = false;
+  return ok;
 }
 
 void DeviceSpliceSource::Deliver(int64_t index, const std::function<void(SpliceChunk)>& done) {

@@ -78,11 +78,15 @@ class DeviceSpliceSink : public SpliceSink {
 // frame boundary, a pipe with little buffered) are accumulated until the
 // chunk is full or the stream ends — required when the sink is a regular
 // file, whose block map assumes chunk k carries bytes [k*B, (k+1)*B).
+// A read served inside ReadAsync (a pipe with data buffered) completes in
+// the caller's context; one that waits (for a pipe's writer, the next frame)
+// completes as a device interrupt, so whoever fed the device never pays.
 class DeviceSpliceSource : public SpliceSource {
  public:
-  DeviceSpliceSource(CharDevice* dev, int64_t total_bytes, int64_t chunk_bytes = kBlockSize,
-                     bool coalesce = false)
-      : dev_(dev), remaining_(total_bytes), chunk_bytes_(chunk_bytes), coalesce_(coalesce) {}
+  DeviceSpliceSource(CpuSystem* cpu, CharDevice* dev, int64_t total_bytes,
+                     int64_t chunk_bytes = kBlockSize, bool coalesce = false)
+      : cpu_(cpu), dev_(dev), remaining_(total_bytes), chunk_bytes_(chunk_bytes),
+        coalesce_(coalesce) {}
 
   int64_t TotalBytes() const override { return -1; }
   int64_t ChunkBytes() const override { return chunk_bytes_; }
@@ -90,8 +94,12 @@ class DeviceSpliceSource : public SpliceSource {
   IKDP_CTX_ANY bool StartRead(int64_t index, std::function<void(SpliceChunk)> done) override;
   void Release(SpliceChunk& chunk) override { (void)chunk; }
   IKDP_CTX_ANY bool CancelRead() override {
-    acc_ = nullptr;  // drop the partially-accumulated chunk
-    return dev_->CancelRead();
+    // A completion already raised cannot be dropped and still needs acc_.
+    const bool dropped = dev_->CancelRead();
+    if (dropped) {
+      acc_ = nullptr;  // drop the partially-accumulated chunk
+    }
+    return dropped;
   }
 
  private:
@@ -99,6 +107,7 @@ class DeviceSpliceSource : public SpliceSource {
   IKDP_CTX_ANY bool IssueRead(int64_t index, int64_t target, std::function<void(SpliceChunk)> done);
   IKDP_CTX_ANY void Deliver(int64_t index, const std::function<void(SpliceChunk)>& done);
 
+  CpuSystem* cpu_;
   CharDevice* dev_;
   int64_t remaining_;  // bytes left in the budget; < 0 means unbounded
   int64_t chunk_bytes_;
@@ -106,6 +115,7 @@ class DeviceSpliceSource : public SpliceSource {
   BufData acc_;            // accumulation buffer for the chunk in progress
   bool saw_eof_ = false;   // device reported end-of-stream
   bool pending_eof_ = false;  // deliver EOF on the next StartRead
+  bool in_read_call_ = false;  // inside dev_->ReadAsync (completion is synchronous)
 };
 
 }  // namespace ikdp

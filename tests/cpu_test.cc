@@ -297,6 +297,64 @@ TEST_F(CpuTest, CpuTimeAccountingPerProcess) {
                             static_cast<SimDuration>(cpu.stats().switches) * Microseconds(100));
 }
 
+TEST_F(CpuTest, ChargeBillsInterruptOwingProcessOrNobody) {
+  // The one billing rule for work that can run in any context: the running
+  // interrupt pays at interrupt level, the running process owes it in
+  // process context (paid by PayOwed, plain work then kop work), and host
+  // context bills nobody.
+  CpuSystem cpu(&sim_, ZeroCosts());
+  cpu.Charge(Microseconds(7));  // host context: nobody pays
+  cpu.RunInterrupt(0, [&] {
+    cpu.Charge(Microseconds(20));
+    cpu.Charge(Microseconds(3), /*kop=*/true);
+    cpu.ChargeIfInterrupt(Microseconds(1));
+  });
+  SimDuration owed_paid = -1;
+  Process* proc = cpu.Spawn("owner", [&](Process& p) -> Task<> {
+    cpu.Charge(Microseconds(40));
+    cpu.Charge(Microseconds(5), /*kop=*/true);
+    cpu.ChargeIfInterrupt(Microseconds(9));  // dropped in process context
+    EXPECT_EQ(p.stats().cpu_time, 0);        // owed, not yet paid
+    co_await cpu.PayOwed(p);
+    owed_paid = p.stats().cpu_time;
+    co_await cpu.PayOwed(p);  // nothing left to pay
+  });
+  sim_.Run();
+  EXPECT_EQ(cpu.stats().interrupt_work, Microseconds(24));
+  EXPECT_EQ(owed_paid, Microseconds(45));
+  EXPECT_EQ(proc->stats().cpu_time, Microseconds(45));
+  EXPECT_EQ(cpu.stats().process_work, Microseconds(45));
+  SimDuration kop_process = 0;
+  SimDuration kop_interrupt = 0;
+  for (const auto& [key, t] : cpu.attribution()) {
+    if (key.bucket == CpuSystem::ChargeBucket::kKopProcess) {
+      kop_process += t;
+    } else if (key.bucket == CpuSystem::ChargeBucket::kKopInterrupt) {
+      kop_interrupt += t;
+    }
+  }
+  EXPECT_EQ(kop_process, Microseconds(5));
+  EXPECT_EQ(kop_interrupt, Microseconds(3));
+  std::string err;
+  EXPECT_TRUE(cpu.CheckAttributionClosure(&err)) << err;
+}
+
+TEST_F(CpuTest, ExitingWhileOwingWorkAborts) {
+  // Work a process ran and never paid for means some path skipped its
+  // drain point: the exit check names the process instead of letting the
+  // time vanish from the ledger.
+  EXPECT_DEATH(
+      {
+        CpuSystem cpu(&sim_, ZeroCosts());
+        cpu.Spawn("debtor", [&](Process& p) -> Task<> {
+          cpu.Charge(Microseconds(10));
+          co_await cpu.Use(p, Microseconds(1));
+        });
+        sim_.Run();
+      },
+      "debtor exited owing 10000 ns");
+}
+
 TEST_F(CpuTest, ZeroWorkUseCompletesAndChecksPreemption) {
   CpuSystem cpu(&sim_, ZeroCosts());
   int steps = 0;

@@ -9,8 +9,12 @@
 #include <map>
 #include <vector>
 
+#include "src/dev/frame_source.h"
+#include "src/dev/paced_sink.h"
+#include "src/dev/ram_disk.h"
 #include "src/hw/costs.h"
 #include "src/kern/cpu.h"
+#include "src/os/kernel.h"
 #include "src/sim/callout.h"
 #include "src/sim/simulator.h"
 #include "src/splice/splice_engine.h"
@@ -268,9 +272,9 @@ class InterruptSource : public SpliceSource {
 };
 
 TEST(SpliceChargeTest, SyncCompletionChargeIsNotDropped) {
-  // ScriptedSource completes its reads synchronously inside Start(), in
-  // process context.  The read-handler cost of those completions must land
-  // in the pending sync charge for the syscall layer to bill, not vanish.
+  // ScriptedSource completes its reads synchronously inside Start(), in the
+  // calling process's context.  The read-handler cost of those completions
+  // is owed by that process and billed to it by PayOwed, exactly once.
   Simulator sim;
   CpuSystem cpu(&sim, DecStation5000Costs());
   CalloutTable callouts(&sim, 256);
@@ -280,27 +284,32 @@ TEST(SpliceChargeTest, SyncCompletionChargeIsNotDropped) {
   SpliceOptions opts;
   opts.max_inflight_chunks = 4;  // four reads complete inside Start()
   opts.refill_batch = 4;
-  engine.Start(std::make_unique<ScriptedSource>(8, 1000, 0, &obs),
-               OneSink(std::make_unique<ScriptedSink>(&sim, nullptr)), opts,
-               [](const SpliceCompletion&) {});
-  const int sync_reads = obs.reads;
-  EXPECT_GE(sync_reads, 1);
-  const SimDuration charge = engine.TakeSyncCharge();
-  EXPECT_EQ(charge, sync_reads * cpu.costs().splice_read_handler);
-  EXPECT_EQ(engine.TakeSyncCharge(), 0) << "charge must drain exactly once";
-
+  int sync_reads = 0;
+  SimDuration billed_once = -1;
+  Process* proc = cpu.Spawn("splicer", [&](Process& p) -> Task<> {
+    engine.Start(std::make_unique<ScriptedSource>(8, 1000, 0, &obs),
+                 OneSink(std::make_unique<ScriptedSink>(&sim, nullptr)), opts,
+                 [](const SpliceCompletion&) {});
+    sync_reads = obs.reads;
+    co_await cpu.PayOwed(p);
+    billed_once = p.stats().cpu_time;
+    co_await cpu.PayOwed(p);  // nothing is owed twice
+  });
   sim.Run();
+  EXPECT_GE(sync_reads, 1);
+  EXPECT_EQ(billed_once, sync_reads * cpu.costs().splice_read_handler);
   // Post-setup handler work runs from softclock/interrupt context and is
-  // billed to interrupt accounting, never to the pending sync charge.
-  EXPECT_EQ(engine.TakeSyncCharge(), 0);
+  // billed to the interrupt ledger, never to the process.
+  EXPECT_EQ(proc->stats().cpu_time, billed_once);
 }
 
 TEST(SpliceChargeTest, SyncAndAsyncCompletionChargeTheSameTotal) {
   // The same transfer must account the same total handler CPU whether read
-  // completions arrive synchronously in process context (charged via
-  // TakeSyncCharge) or from interrupt context (charged to the interrupt).
-  // Zero the softclock overhead so interrupt_work isolates handler charges;
-  // the two modes may arm a different number of drain ticks.
+  // completions arrive synchronously in process context (owed by the
+  // process, paid by PayOwed) or from interrupt context (charged to the
+  // interrupt).  Zero the softclock overhead so interrupt_work isolates
+  // handler charges; the two modes may arm a different number of drain
+  // ticks.
   CostConfig costs = DecStation5000Costs();
   costs.softclock_per_callout = 0;
   const int64_t kChunks = 8;
@@ -312,13 +321,15 @@ TEST(SpliceChargeTest, SyncAndAsyncCompletionChargeTheSameTotal) {
     CpuSystem cpu(&sim, costs);
     CalloutTable callouts(&sim, 256);
     SpliceEngine engine(&cpu, &callouts);
-    engine.Start(std::make_unique<ScriptedSource>(kChunks, kChunkBytes),
-                 OneSink(std::make_unique<ScriptedSink>(&sim, nullptr)), SpliceOptions{},
-                 [](const SpliceCompletion&) {});
-    sync_total += engine.TakeSyncCharge();
-    EXPECT_GT(sync_total, 0);  // the regression: this used to be dropped
+    Process* proc = cpu.Spawn("splicer", [&](Process& p) -> Task<> {
+      engine.Start(std::make_unique<ScriptedSource>(kChunks, kChunkBytes),
+                   OneSink(std::make_unique<ScriptedSink>(&sim, nullptr)), SpliceOptions{},
+                   [](const SpliceCompletion&) {});
+      co_await cpu.PayOwed(p);
+    });
     sim.Run();
-    sync_total += engine.TakeSyncCharge() + cpu.stats().interrupt_work;
+    EXPECT_GT(proc->stats().cpu_time, 0);  // the regression: this used to be dropped
+    sync_total = proc->stats().cpu_time + cpu.stats().interrupt_work;
   }
 
   SimDuration async_total = 0;
@@ -327,12 +338,14 @@ TEST(SpliceChargeTest, SyncAndAsyncCompletionChargeTheSameTotal) {
     CpuSystem cpu(&sim, costs);
     CalloutTable callouts(&sim, 256);
     SpliceEngine engine(&cpu, &callouts);
-    engine.Start(std::make_unique<InterruptSource>(&sim, &cpu, kChunks, kChunkBytes),
-                 OneSink(std::make_unique<ScriptedSink>(&sim, nullptr)), SpliceOptions{},
-                 [](const SpliceCompletion&) {});
-    EXPECT_EQ(engine.TakeSyncCharge(), 0);  // nothing completed in Start()
+    Process* proc = cpu.Spawn("splicer", [&](Process& p) -> Task<> {
+      engine.Start(std::make_unique<InterruptSource>(&sim, &cpu, kChunks, kChunkBytes),
+                   OneSink(std::make_unique<ScriptedSink>(&sim, nullptr)), SpliceOptions{},
+                   [](const SpliceCompletion&) {});
+      co_await cpu.PayOwed(p);
+    });
     sim.Run();
-    EXPECT_EQ(engine.TakeSyncCharge(), 0);  // all handlers ran at interrupt
+    EXPECT_EQ(proc->stats().cpu_time, 0);  // all handlers ran at interrupt
     async_total = cpu.stats().interrupt_work;
   }
 
@@ -348,6 +361,125 @@ TEST_F(EngineTest, EngineStatsAccumulateAcrossSplices) {
   EXPECT_EQ(engine_.stats().splices_completed, 3u);
   EXPECT_EQ(engine_.stats().total_bytes, 3 * 1000);
   EXPECT_EQ(engine_.active(), 0);
+}
+
+// The media_jitter shape, scaled down: a player splices one 64 KB frame per
+// 100 ms timer tick and decodes it (30 ms of CPU) beside a cp whose reads
+// issue read-ahead.  Everything is on RAM disks, so every device transfer is
+// a synchronous copy billed to whoever submitted it, and the cache holds
+// every block (no delayed-write victim is pushed on another's behalf).
+constexpr int kOwnFrames = 8;
+constexpr int64_t kOwnFrameBytes = 64 * 1024;
+constexpr int64_t kOwnCopyBytes = 1 << 20;
+
+struct Billed {
+  SimDuration player = 0;
+  SimDuration cp = 0;
+};
+
+Billed RunPlayerBesideCp(bool run_player, bool run_cp) {
+  Simulator sim;
+  Kernel kernel(&sim, DecStation5000Costs());
+  RamDisk media(&kernel.cpu(), 4 << 20);
+  RamDisk src(&kernel.cpu(), 4 << 20);
+  RamDisk dst(&kernel.cpu(), 4 << 20);
+  auto fill = [](int64_t i) { return static_cast<uint8_t>(i * 7); };
+  kernel.MountFs(&media, "media")->CreateFileInstant("movie", kOwnFrames * kOwnFrameBytes, fill);
+  kernel.MountFs(&src, "src")->CreateFileInstant("big", kOwnCopyBytes, fill);
+  kernel.MountFs(&dst, "dst");
+  PacedSink dac(&sim, "dac", 4.0 * 10 * kOwnFrameBytes, 4 * kOwnFrameBytes);
+  kernel.RegisterCharDev("dac", &dac);
+
+  Process* player = nullptr;
+  Process* cp = nullptr;
+  if (run_player) {
+    player = kernel.Spawn("player", [&](Process& p) -> Task<> {
+      const int movie = co_await kernel.Open(p, "media:movie", kOpenRead);
+      const int out = co_await kernel.Open(p, "/dev/dac", kOpenWrite);
+      kernel.Setitimer(p, Milliseconds(100));
+      for (int i = 0; i < kOwnFrames; ++i) {
+        EXPECT_EQ(co_await kernel.Splice(p, movie, out, kOwnFrameBytes), kOwnFrameBytes);
+        co_await kernel.cpu().Use(p, Milliseconds(30));
+        co_await kernel.Pause(p);
+      }
+      kernel.StopItimer(p);
+    });
+  }
+  if (run_cp) {
+    cp = kernel.Spawn("cp", [&](Process& p) -> Task<> {
+      const int in = co_await kernel.Open(p, "src:big", kOpenRead);
+      const int out = co_await kernel.Open(p, "dst:copy", kOpenWrite | kOpenCreate);
+      std::vector<uint8_t> buf;
+      int64_t copied = 0;
+      for (;;) {
+        const int64_t n = co_await kernel.Read(p, in, kBlockSize, &buf);
+        if (n <= 0) {
+          break;
+        }
+        copied += co_await kernel.Write(p, out, buf.data(), n);
+      }
+      EXPECT_EQ(copied, kOwnCopyBytes);
+    });
+  }
+  sim.Run();
+  Billed billed;
+  billed.player = player != nullptr ? player->stats().cpu_time : 0;
+  billed.cp = cp != nullptr ? cp->stats().cpu_time : 0;
+  return billed;
+}
+
+TEST(ChargeOwnershipTest, EachProcessIsBilledOnlyItsOwnWork) {
+  // Alone, each process is billed exactly its own work.  Side by side, the
+  // player's timer wakeup preempts cp inside a cache call, after cp's
+  // read-ahead ran a device copy that cp has not paid for yet; the player's
+  // splice must not pay for it, nor cp for the player's.
+  const SimDuration player_alone = RunPlayerBesideCp(true, false).player;
+  const SimDuration cp_alone = RunPlayerBesideCp(false, true).cp;
+  const Billed both = RunPlayerBesideCp(true, true);
+  EXPECT_EQ(both.player, player_alone);
+  EXPECT_EQ(both.cp, cp_alone);
+}
+
+// The framebuffer splice of examples/framebuffer_stream, scaled down to one
+// block-sized chunk per frame, with the read-handler cost as a parameter.
+constexpr int kFbFrames = 6;
+
+struct FrameSpliceRun {
+  SimDuration interrupt_work = 0;
+  SimDuration streamer_cpu = 0;
+};
+
+FrameSpliceRun RunFrameSplice(SimDuration read_handler) {
+  Simulator sim;
+  CostConfig costs = DecStation5000Costs();
+  costs.splice_read_handler = read_handler;
+  Kernel kernel(&sim, costs);
+  FrameSource fb(&sim, "fb0", kBlockSize, Milliseconds(10));
+  kernel.RegisterCharDev("fb0", &fb);
+  UdpSocket sender(&kernel.cpu(), 64 * 1024, 64 * 1024);
+  UdpSocket receiver(&kernel.cpu(), 64 * 1024, 1 << 20);
+  NetworkLink wire(&sim, EthernetParams());
+  sender.ConnectTo(&receiver, &wire);
+  Process* streamer = kernel.Spawn("streamer", [&](Process& p) -> Task<> {
+    const int fbfd = co_await kernel.Open(p, "/dev/fb0", kOpenRead);
+    const int sock = kernel.OpenSocket(p, &sender);
+    EXPECT_EQ(co_await kernel.Splice(p, fbfd, sock, kFbFrames * kBlockSize),
+              kFbFrames * kBlockSize);
+  });
+  sim.Run();
+  return {kernel.cpu().stats().interrupt_work, streamer->stats().cpu_time};
+}
+
+TEST(FrameSourceChargeTest, ReadHandlerRunsAtInterruptLevel) {
+  // A frame read completes at scan-out, after ReadAsync returned, so the
+  // splice source raises it as a device interrupt: the splice read handler
+  // it runs is interrupt work, never owed by the streamer and never lost: one
+  // handler per frame chunk, plus one for the end-of-stream marker the
+  // source delivers once the byte budget is spent.
+  const FrameSpliceRun base = RunFrameSplice(Microseconds(50));
+  const FrameSpliceRun dearer = RunFrameSplice(Microseconds(51));
+  EXPECT_EQ(dearer.interrupt_work - base.interrupt_work, (kFbFrames + 1) * Microseconds(1));
+  EXPECT_EQ(dearer.streamer_cpu, base.streamer_cpu);
 }
 
 }  // namespace

@@ -718,7 +718,7 @@ TEST_F(KopTest, SpliceMultiIntoOneFileIsASplice) {
 
 TEST_F(KopTest, AttributionClosureHoldsWithOperatorsAttached) {
   // Operators run from every context the data path has — the syscall layer
-  // (load-time verification, parked sync charges), interrupt/softclock chunk
+  // (load-time verification, owed setup work), interrupt/softclock chunk
   // execution, and the ring reaper's completion pass.  The ledger must still
   // close exactly, with the kop refinement buckets populated.
   constexpr int64_t kBytes = 16 * kBlockSize;
@@ -763,7 +763,7 @@ TEST_F(KopTest, AttributionClosureHoldsWithOperatorsAttached) {
     }
   }
   EXPECT_GT(kop_total, 0);
-  // Load-time verification and parked sync-path charges bill the process...
+  // Load-time verification and owed setup work bill the process...
   EXPECT_TRUE(kop_buckets.count(CpuSystem::ChargeBucket::kKopProcess));
   // ...and the ring reaper's per-op finalization always runs at softclock.
   EXPECT_TRUE(kop_buckets.count(CpuSystem::ChargeBucket::kKopSoftclock));

@@ -243,6 +243,82 @@ TEST_F(PipeKernelTest, PipeToFileSpliceSingleProcess) {
   }
 }
 
+// One process drains a pipe, by splice(2) into a file or by read(2); a
+// second process writes the stream into the pipe, closes its end and exits.
+// Returns the writer's CPU time.
+SimDuration WriterCpuFeedingPipe(bool splice_reader) {
+  constexpr int64_t kBytes = 16 * kBlockSize;  // four times the pipe's ring
+  Simulator sim;
+  Kernel kernel(&sim, DecStation5000Costs());
+  RamDisk ram(&kernel.cpu(), 16 << 20);
+  FileSystem* fs = kernel.MountFs(&ram, "fs");
+  // The write end, handed from the reader to the writer (standing in for a
+  // descriptor inherited across fork): the writer holds the last reference,
+  // so dropping it is the writer's close.
+  std::shared_ptr<File> write_end;
+  int64_t drained = -1;
+  kernel.Spawn("reader", [&](Process& p) -> Task<> {
+    int rfd = -1;
+    int wfd = -1;
+    co_await kernel.CreatePipe(p, &rfd, &wfd);
+    write_end = kernel.GetFile(p, wfd);
+    co_await kernel.Close(p, wfd);
+    if (splice_reader) {
+      const int dst = co_await kernel.Open(p, "fs:out", kOpenWrite | kOpenCreate);
+      // The bound exceeds the stream, so the writer's close ends the splice.
+      drained = co_await kernel.Splice(p, rfd, dst, kBytes + kBlockSize);
+    } else {
+      std::vector<uint8_t> buf;
+      drained = 0;
+      for (;;) {
+        const int64_t n = co_await kernel.Read(p, rfd, kBlockSize, &buf);
+        if (n <= 0) {
+          break;
+        }
+        drained += n;
+      }
+    }
+  });
+  Process* writer = kernel.Spawn("writer", [&](Process& p) -> Task<> {
+    while (write_end == nullptr) {
+      co_await kernel.SleepFor(p, Milliseconds(1));
+    }
+    std::shared_ptr<File> out = std::move(write_end);
+    std::vector<uint8_t> chunk(kBlockSize);
+    for (int64_t sent = 0; sent < kBytes; sent += kBlockSize) {
+      for (int64_t i = 0; i < kBlockSize; ++i) {
+        chunk[static_cast<size_t>(i)] = Fill(sent + i);
+      }
+      EXPECT_EQ(co_await out->Write(p, chunk.data(), kBlockSize), kBlockSize);
+    }
+    out.reset();  // close: EOF for the reader
+  });
+  sim.Run();
+  EXPECT_EQ(kernel.cpu().alive(), 0);
+  EXPECT_EQ(drained, kBytes);
+  if (splice_reader) {
+    kernel.cache().FlushAllInstant();
+    Inode* ip = fs->Lookup("out");
+    EXPECT_NE(ip, nullptr);
+    if (ip != nullptr) {
+      const std::vector<uint8_t> back = fs->ReadFileInstant(ip);
+      EXPECT_GE(static_cast<int64_t>(back.size()), kBytes);
+      for (int64_t i = 0; i < kBytes && i < static_cast<int64_t>(back.size()); ++i) {
+        EXPECT_EQ(back[static_cast<size_t>(i)], Fill(i)) << i;
+      }
+    }
+  }
+  return writer->stats().cpu_time;
+}
+
+TEST(PipeSpliceChargeTest, WriterIsNotBilledForTheReadersSplice) {
+  // The splice's read completions fire from the writer's write and close.
+  // They run as device interrupts, so the writer is billed only its own
+  // copies, as when the reader uses read(2), and owes nothing at exit.
+  EXPECT_EQ(WriterCpuFeedingPipe(/*splice_reader=*/true),
+            WriterCpuFeedingPipe(/*splice_reader=*/false));
+}
+
 TEST_F(PipeKernelTest, UnboundedSpliceIntoFileRejected) {
   int rfd = -1;
   int wfd = -1;

@@ -171,6 +171,8 @@ TEST_P(WatermarkPropertyTest, BoundsHoldAndContentSurvives) {
                                        w.done = true;
                                        kernel.cpu().Wakeup(&w);
                                      });
+    // Pay for the setup work Start ran in this process, as splice(2) does.
+    co_await kernel.cpu().PayOwed(p);
     while (!w.done) {
       co_await kernel.cpu().Sleep(p, &w, kPriWait);
     }
@@ -220,6 +222,7 @@ TEST(SpliceCancelTest, ConvergesAndReleasesBuffers) {
                                      SpliceOptions{}, [&](const SpliceCompletion& c) {
                                        moved = c.io_error ? -1 : c.bytes_moved;
                                      });
+    co_await kernel.cpu().PayOwed(p);
   });
   sim.After(Milliseconds(300), [&] {
     ASSERT_NE(d, nullptr);

@@ -210,6 +210,8 @@ TEST_F(SpliceTest, FlowControlRespectsWatermarks) {
                                         w.done = true;
                                         kernel_.cpu().Wakeup(&w);
                                       });
+    // Pay for the setup work Start ran in this process, as splice(2) does.
+    co_await kernel_.cpu().PayOwed(p);
     while (!w.done) {
       co_await kernel_.cpu().Sleep(p, &w, kPriWait);
     }
