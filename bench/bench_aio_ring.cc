@@ -33,7 +33,7 @@
 #include "bench/bench_common.h"
 #include "src/dev/ram_disk.h"
 #include "src/fs/filesystem.h"
-#include "src/metrics/report.h"
+#include "src/metrics/experiment.h"
 #include "src/metrics/telemetry.h"
 #include "src/metrics/trace_export.h"
 #include "src/os/kernel.h"

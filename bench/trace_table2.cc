@@ -30,7 +30,6 @@
 
 #include "bench/bench_common.h"
 #include "src/metrics/experiment.h"
-#include "src/metrics/report.h"
 #include "src/metrics/span_trace.h"
 #include "src/metrics/telemetry.h"
 #include "src/metrics/trace_export.h"

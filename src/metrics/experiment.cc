@@ -10,7 +10,6 @@
 #include "src/dev/ram_disk.h"
 #include "src/fs/filesystem.h"
 #include "src/hw/disk.h"
-#include "src/metrics/report.h"
 #include "src/os/kernel.h"
 #include "src/sim/simulator.h"
 #include "src/workload/programs.h"
@@ -57,6 +56,15 @@ const char* DiskKindName(DiskKind k) {
       return "RZ58";
   }
   return "?";
+}
+
+double IdleFraction(const Kernel& kernel, SimTime elapsed) {
+  if (elapsed <= 0) {
+    return 1.0;
+  }
+  const CpuSystem::Stats& s = const_cast<Kernel&>(kernel).cpu().stats();
+  const SimDuration busy = s.process_work + s.context_switch + s.interrupt_work;
+  return 1.0 - static_cast<double>(busy) / static_cast<double>(elapsed);
 }
 
 ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {

@@ -82,6 +82,11 @@ struct ExperimentResult {
   double idle_fraction = 0;
 };
 
+// The CPU accounting identity: process work + context switches + interrupt
+// work must not exceed elapsed time (the remainder is idle).  Returns the
+// idle fraction in [0, 1]; negative values indicate an accounting bug.
+double IdleFraction(const Kernel& kernel, SimTime elapsed);
+
 // Runs one copy experiment on a fresh machine.
 ExperimentResult RunCopyExperiment(const ExperimentConfig& config);
 

@@ -11,11 +11,10 @@ void SpanTraceBuilder::Attach(TraceLog* log) {
   log->AddObserver([this](const TraceRecord& rec) { Observe(rec); });
 }
 
-void SpanTraceBuilder::Emit(const char* name, const Pending& p, SimTime end, int64_t arg,
-                            int64_t result, bool error) {
-  const SpanId id = collector_->Begin(p.start, name, p.parent, arg);
-  collector_->End(end, id, result, error);
-  ++derived_[name];
+void SpanTraceBuilder::Emit(const TraceInterval& iv) {
+  const SpanId id = collector_->Begin(iv.begin.time, iv.name, iv.begin.span, iv.arg);
+  collector_->End(iv.end.time, id, iv.result, iv.error);
+  ++derived_[iv.name];
 }
 
 void SpanTraceBuilder::Point(const char* name, SimTime t, SpanId parent, int64_t arg) {
@@ -25,76 +24,12 @@ void SpanTraceBuilder::Point(const char* name, SimTime t, SpanId parent, int64_t
 }
 
 void SpanTraceBuilder::Observe(const TraceRecord& rec) {
+  pairer_.Observe(rec, [this](const TraceInterval& iv) {
+    if (iv.begin.kind != TraceKind::kRingOpSubmit) {  // the ring mints real "aio.op" spans
+      Emit(iv);
+    }
+  });
   switch (rec.kind) {
-    case TraceKind::kSyscallEnter:
-      syscalls_[rec.a] = {rec.time, rec.span};
-      break;
-    case TraceKind::kSyscallExit: {
-      auto it = syscalls_.find(rec.a);
-      if (it != syscalls_.end()) {
-        Emit("syscall", it->second, rec.time, rec.a, 0, false);
-        syscalls_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kRunnable:
-      runnable_[rec.a] = {rec.time, rec.span};
-      break;
-    case TraceKind::kDispatch: {
-      auto it = runnable_.find(rec.a);
-      if (it != runnable_.end()) {
-        Emit("sched.runq", it->second, rec.time, rec.a, 0, false);
-        runnable_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kDiskDispatch:
-      disk_[{rec.tag, rec.a}] = {rec.time, rec.span};
-      break;
-    case TraceKind::kDiskComplete: {
-      auto it = disk_.find({rec.tag, rec.a});
-      if (it != disk_.end()) {
-        Emit("disk.xfer", it->second, rec.time, rec.a, rec.b, false);
-        disk_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kSpliceRead:
-      splice_reads_[{rec.a, rec.b}] = {rec.time, rec.span};
-      break;
-    case TraceKind::kSpliceChunk: {
-      auto it = splice_reads_.find({rec.a, rec.b});
-      if (it != splice_reads_.end()) {
-        Emit("splice.chunk", it->second, rec.time, rec.b, 0, false);
-        splice_reads_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kSpliceReadAbort: {
-      // Teardown retracted this descriptor's outstanding reads: their
-      // kSpliceChunk will never arrive.  Close every open read interval for
-      // the serial as an errored span so the tree stays balanced.
-      for (auto it = splice_reads_.begin(); it != splice_reads_.end();) {
-        if (it->first.first == rec.a) {
-          Emit("splice.chunk", it->second, rec.time, it->first.second, 0, true);
-          it = splice_reads_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      break;
-    }
-    case TraceKind::kUdpSend:
-      udp_tx_[rec.a] = {rec.time, rec.span};
-      break;
-    case TraceKind::kUdpSent: {
-      auto it = udp_tx_.find(rec.a);
-      if (it != udp_tx_.end()) {
-        Emit("net.tx", it->second, rec.time, rec.a, rec.b, false);
-        udp_tx_.erase(it);
-      }
-      break;
-    }
     case TraceKind::kBreadHit:
       Point("bread.hit", rec.time, rec.span, rec.a);
       break;

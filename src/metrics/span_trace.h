@@ -6,7 +6,7 @@
 // per-request views the aggregate telemetry cannot provide:
 //
 //  * SpanTraceBuilder — a TraceLog observer that derives CHILD spans from
-//    the documented begin/end record pairs (syscalls, run-queue waits, disk
+//    the intervals a TracePairer closes (syscalls, run-queue waits, disk
 //    transfers, splice chunk reads, UDP interface occupancy) plus point
 //    spans for bread hits/misses and flow-control refills.  Derived spans
 //    are minted into the same collector the kernel uses, parented to the
@@ -35,10 +35,10 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/kern/cpu.h"
+#include "src/metrics/trace_pairer.h"
 #include "src/sim/kspan.h"
 #include "src/sim/trace.h"
 
@@ -65,31 +65,17 @@ class SpanTraceBuilder {
   const std::map<std::string, uint64_t>& derived() const { return derived_; }
 
   // Begin records whose end has not arrived yet.
-  size_t PendingIntervals() const {
-    return syscalls_.size() + runnable_.size() + disk_.size() + splice_reads_.size() +
-           udp_tx_.size();
-  }
+  size_t PendingIntervals() const { return pairer_.Pending(); }
 
  private:
-  struct Pending {
-    SimTime start = 0;
-    SpanId parent = kNoSpan;
-  };
-
-  // Mints a closed interval span [p.start, end] under p.parent.
-  void Emit(const char* name, const Pending& p, SimTime end, int64_t arg, int64_t result,
-            bool error);
+  // Mints a span for one closed interval under its begin record's span.
+  void Emit(const TraceInterval& iv);
   // Mints a zero-duration point span at `t`.
   void Point(const char* name, SimTime t, SpanId parent, int64_t arg);
 
   KspanCollector* collector_;
   std::map<std::string, uint64_t> derived_;
-
-  std::map<int64_t, Pending> syscalls_;                          // pid
-  std::map<int64_t, Pending> runnable_;                          // pid
-  std::map<std::pair<std::string, int64_t>, Pending> disk_;      // (device, serial)
-  std::map<std::pair<int64_t, int64_t>, Pending> splice_reads_;  // (serial, chunk)
-  std::map<int64_t, Pending> udp_tx_;                            // datagram serial
+  TracePairer pairer_;
 };
 
 // One request's worth of the attribution ledger: the root span's wall

@@ -1,6 +1,7 @@
 #include "src/metrics/telemetry.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/dev/disk_driver.h"
 #include "src/fs/filesystem.h"
@@ -13,64 +14,8 @@ void TelemetryCollector::Attach(TraceLog* log) {
 }
 
 void TelemetryCollector::Observe(const TraceRecord& rec) {
+  pairer_.Observe(rec, [this](const TraceInterval& iv) { Sample(iv); });
   switch (rec.kind) {
-    case TraceKind::kRunnable:
-      runnable_[rec.a] = rec.time;
-      break;
-    case TraceKind::kDispatch: {
-      auto it = runnable_.find(rec.a);
-      if (it != runnable_.end()) {
-        registry_->Histogram("cpu.runq_wait")->Add(rec.time - it->second);
-        runnable_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kSyscallEnter:
-      syscalls_[rec.a] = {rec.time, rec.tag};
-      break;
-    case TraceKind::kSyscallExit: {
-      auto it = syscalls_.find(rec.a);
-      if (it != syscalls_.end()) {
-        registry_->Histogram("syscall.latency." + it->second.second)
-            ->Add(rec.time - it->second.first);
-        syscalls_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kDiskDispatch:
-      disk_[{rec.tag, rec.a}] = rec.time;
-      break;
-    case TraceKind::kDiskComplete: {
-      auto it = disk_.find({rec.tag, rec.a});
-      if (it != disk_.end()) {
-        registry_->Histogram(std::string("disk.service_time.") + rec.tag)
-            ->Add(rec.time - it->second);
-        disk_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kSpliceRead:
-      splice_reads_[{rec.a, rec.b}] = rec.time;
-      break;
-    case TraceKind::kSpliceChunk: {
-      auto it = splice_reads_.find({rec.a, rec.b});
-      if (it != splice_reads_.end()) {
-        registry_->Histogram("splice.chunk_latency")->Add(rec.time - it->second);
-        splice_reads_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kRingOpSubmit:
-      ring_ops_[{rec.a, rec.b}] = rec.time;
-      break;
-    case TraceKind::kRingOpComplete: {
-      auto it = ring_ops_.find({rec.a, rec.b});
-      if (it != ring_ops_.end()) {
-        registry_->Histogram("aio.completion_latency")->Add(rec.time - it->second);
-        ring_ops_.erase(it);
-      }
-      break;
-    }
     case TraceKind::kRingSqDepth:
       registry_->Histogram("aio.sq_depth")->Add(rec.b);
       break;
@@ -81,6 +26,33 @@ void TelemetryCollector::Observe(const TraceRecord& rec) {
     default:
       break;
   }
+}
+
+void TelemetryCollector::Sample(const TraceInterval& iv) {
+  if (iv.error) {
+    return;  // a retracted read never completed: it has no latency
+  }
+  std::string name;
+  switch (iv.begin.kind) {
+    case TraceKind::kRunnable:
+      name = "cpu.runq_wait";
+      break;
+    case TraceKind::kSyscallEnter:
+      name = std::string("syscall.latency.") + iv.begin.tag;
+      break;
+    case TraceKind::kDiskDispatch:
+      name = std::string("disk.service_time.") + iv.begin.tag;
+      break;
+    case TraceKind::kSpliceRead:
+      name = "splice.chunk_latency";
+      break;
+    case TraceKind::kRingOpSubmit:
+      name = "aio.completion_latency";
+      break;
+    default:
+      return;  // UDP interface occupancy has no histogram
+  }
+  registry_->Histogram(name)->Add(iv.end.time - iv.begin.time);
 }
 
 void CaptureKernelCounters(MetricsRegistry* registry, Kernel& kernel) {
@@ -204,18 +176,6 @@ void CaptureKernelCounters(MetricsRegistry* registry, Kernel& kernel) {
     registry->SetCounter(prefix + "bytes_written", m.bytes_written);
     registry->SetCounter(prefix + "busy_time_ns", m.busy_time);
   }
-}
-
-void CaptureLinkCounters(MetricsRegistry* registry, const std::string& name,
-                         const NetworkLink& link) {
-  const std::string prefix = "net." + name + ".";
-  const NetworkLink::Stats& s = link.stats();
-  registry->SetCounter(prefix + "frames_sent", static_cast<int64_t>(s.frames_sent));
-  registry->SetCounter(prefix + "frames_dropped", static_cast<int64_t>(s.frames_dropped));
-  registry->SetCounter(prefix + "frames_lost", static_cast<int64_t>(s.frames_lost));
-  registry->SetCounter(prefix + "frames_jittered", static_cast<int64_t>(s.frames_jittered));
-  registry->SetCounter(prefix + "payload_bytes", s.payload_bytes);
-  registry->SetCounter(prefix + "busy_time_ns", s.busy_time);
 }
 
 }  // namespace ikdp

@@ -1,8 +1,9 @@
 // Online telemetry: trace records in, latency histograms out.
 //
-// TelemetryCollector installs itself as a TraceLog observer and pairs
-// begin/end records (the keys documented in src/sim/trace.h) into interval
-// samples as they happen, so latencies survive ring eviction:
+// TelemetryCollector installs itself as a TraceLog observer and feeds a
+// TracePairer (src/metrics/trace_pairer.h), which pairs the begin/end
+// records documented in src/sim/trace.h as they happen, so latencies
+// survive ring eviction.  Each closed interval lands in one histogram:
 //
 //   disk.service_time.<device>   kDiskDispatch -> kDiskComplete
 //   splice.chunk_latency         kSpliceRead   -> kSpliceChunk
@@ -10,8 +11,11 @@
 //   cpu.runq_wait                kRunnable     -> kDispatch
 //   aio.completion_latency       kRingOpSubmit -> kRingOpComplete
 //
-// kRingSqDepth records additionally feed the aio.sq_depth histogram (the
-// unfinished-op count sampled after every submission batch).
+// Reads retracted by a teardown (kSpliceReadAbort) close without a sample,
+// and UDP interface occupancy has no histogram.  kRingSqDepth records
+// additionally feed the aio.sq_depth histogram (the unfinished-op count
+// sampled after every submission batch), and kKopExec records feed
+// kop.exec_cost.
 //
 // Everything runs on the host side of the simulation boundary: observing a
 // record never advances the simulated clock, so a traced run and an
@@ -25,13 +29,8 @@
 #ifndef SRC_METRICS_TELEMETRY_H_
 #define SRC_METRICS_TELEMETRY_H_
 
-#include <cstdint>
-#include <map>
-#include <string>
-#include <utility>
-
-#include "src/hw/link.h"
 #include "src/metrics/histogram.h"
+#include "src/metrics/trace_pairer.h"
 #include "src/os/kernel.h"
 #include "src/sim/trace.h"
 
@@ -52,19 +51,14 @@ class TelemetryCollector {
   void Observe(const TraceRecord& rec);
 
   // Begin records whose end has not arrived yet (unfinished intervals).
-  size_t PendingIntervals() const {
-    return runnable_.size() + syscalls_.size() + disk_.size() + splice_reads_.size() +
-           ring_ops_.size();
-  }
+  size_t PendingIntervals() const { return pairer_.Pending(); }
 
  private:
-  MetricsRegistry* registry_;
+  // Adds one closed interval to its histogram.
+  void Sample(const TraceInterval& iv);
 
-  std::map<int64_t, SimTime> runnable_;                          // pid -> kRunnable time
-  std::map<int64_t, std::pair<SimTime, std::string>> syscalls_;  // pid -> (enter, name)
-  std::map<std::pair<std::string, int64_t>, SimTime> disk_;      // (device, serial)
-  std::map<std::pair<int64_t, int64_t>, SimTime> splice_reads_;  // (serial, chunk)
-  std::map<std::pair<int64_t, int64_t>, SimTime> ring_ops_;      // (ring, cookie)
+  MetricsRegistry* registry_;
+  TracePairer pairer_;
 };
 
 // Samples every kernel Stats struct into `registry` counters under stable
@@ -74,12 +68,6 @@ class TelemetryCollector {
 // TraceLog; 0 when none is attached) and the per-disk fault-injection
 // counters (errors, ENOSPC hits, transient/permanent split, latency spikes).
 void CaptureKernelCounters(MetricsRegistry* registry, Kernel& kernel);
-
-// Samples one network link's Stats under "net.<name>.*" ("net.<name>.frames_dropped",
-// ...).  Separate from CaptureKernelCounters because links live outside the
-// Kernel (the workload wires sockets to links directly).
-void CaptureLinkCounters(MetricsRegistry* registry, const std::string& name,
-                         const NetworkLink& link);
 
 }  // namespace ikdp
 

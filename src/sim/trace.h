@@ -12,8 +12,11 @@
 // the name it was copied from (a process's, a device's) is gone.
 //
 // Several kinds form begin/end pairs from which intervals can be
-// reconstructed (src/metrics/telemetry.h does this online, and the Chrome
-// trace exporter renders them as slices):
+// reconstructed.  TracePairer (src/metrics/trace_pairer.h) is the one
+// implementation of this table (all but kSpliceStart -> kSpliceDone, which
+// the splice engine mints as a real span); the telemetry collector and the
+// span builder each feed one online.  The Chrome trace exporter renders the
+// pairs as slices:
 //
 //   kSyscallEnter -> kSyscallExit   keyed by pid (syscalls do not nest)
 //   kRunnable     -> kDispatch      keyed by pid (run-queue wait)
@@ -25,6 +28,9 @@
 //                                    ops for the pairing to be well defined
 //   kUdpSend      -> kUdpSent        keyed by datagram serial (interface
 //                                    occupancy of one datagram)
+//   kSpliceRead   -> kSpliceReadAbort keyed by descriptor serial: a teardown
+//                                    closes every open read of the serial,
+//                                    as errored (its kSpliceChunk never comes)
 //
 // Every record also carries the kspan cursor's span id (src/sim/kspan.h), so
 // the pairs above double as child spans of the request that caused them.
@@ -144,8 +150,8 @@ class TraceLog {
   // touch simulated state.
   void set_observer(std::function<void(const TraceRecord&)> obs) { observer_ = std::move(obs); }
 
-  // Additional taps that coexist with set_observer (the span builder and the
-  // SLO monitor attach here without evicting the telemetry collector).
+  // Additional taps that coexist with set_observer (the span builder attaches
+  // here without evicting the telemetry collector).
   // Observers cannot be removed individually; they live as long as the log.
   void AddObserver(std::function<void(const TraceRecord&)> obs) {
     extra_observers_.push_back(std::move(obs));

@@ -2,19 +2,17 @@
 //  * the CPU accounting identity (process + switch + interrupt <= elapsed)
 //    over randomized mixed workloads;
 //  * a model-checked EventQueue fuzz (random schedule/cancel/pop against a
-//    reference multimap);
-//  * the machine report's coherence.
+//    reference multimap).
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "src/dev/disk_driver.h"
 #include "src/dev/ram_disk.h"
 #include "src/hw/disk.h"
-#include "src/metrics/report.h"
+#include "src/metrics/experiment.h"
 #include "src/os/kernel.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/random.h"
@@ -140,30 +138,6 @@ TEST_P(AccountingTest, BusyNeverExceedsElapsed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AccountingTest, ::testing::Values(5, 6, 7));
-
-TEST(ReportTest, PrintsCoherentSummary) {
-  Simulator sim;
-  Kernel kernel(&sim, DecStation5000Costs());
-  RamDisk a(&kernel.cpu(), 16 << 20);
-  RamDisk b(&kernel.cpu(), 16 << 20);
-  FileSystem* fsa = kernel.MountFs(&a, "a");
-  kernel.MountFs(&b, "b");
-  fsa->CreateFileInstant("f", 8 * kBlockSize, Fill);
-  kernel.Spawn("p", [&](Process& p) -> Task<> {
-    const int s = co_await kernel.Open(p, "a:f", kOpenRead);
-    const int d = co_await kernel.Open(p, "b:g", kOpenWrite | kOpenCreate);
-    co_await kernel.Splice(p, s, d, kSpliceEof);
-  });
-  sim.Run();
-  std::ostringstream os;
-  PrintMachineReport(os, kernel);
-  const std::string r = os.str();
-  EXPECT_NE(r.find("machine report"), std::string::npos);
-  EXPECT_NE(r.find("1 started, 1 completed"), std::string::npos);
-  EXPECT_NE(r.find("65536 bytes moved"), std::string::npos);
-  EXPECT_NE(r.find("syscalls"), std::string::npos);
-  EXPECT_GE(IdleFraction(kernel, sim.Now()), 0.0);
-}
 
 }  // namespace
 }  // namespace ikdp

@@ -141,8 +141,15 @@ TEST(SpanTraceBuilder, DerivesChildSpansFromDocumentedPairs) {
   dc.kind = TraceKind::kDiskComplete;
   builder.Observe(dc);
 
+  // A teardown closes each of its serial's open reads as an errored span.
+  builder.Observe({300, TraceKind::kSpliceRead, 4, 0, "", req});
+  builder.Observe({310, TraceKind::kSpliceRead, 4, 1, "", req});
+  builder.Observe({800, TraceKind::kSpliceReadAbort, 4, 0, "", req});
+  EXPECT_EQ(builder.PendingIntervals(), 0u);
+
   ASSERT_EQ(builder.derived().count("syscall"), 1u);
   ASSERT_EQ(builder.derived().count("disk.xfer"), 1u);
+  ASSERT_EQ(builder.derived().at("splice.chunk"), 2u);
 
   // Derived spans nest under the request and carry the interval bounds.
   int found = 0;
@@ -157,9 +164,15 @@ TEST(SpanTraceBuilder, DerivesChildSpansFromDocumentedPairs) {
       EXPECT_EQ(s.start, 200);
       EXPECT_EQ(s.end, 700);
       ++found;
+    } else if (std::string(s.name) == "splice.chunk") {
+      EXPECT_EQ(s.parent, req);
+      EXPECT_EQ(s.start, 300 + 10 * s.a);  // arg = chunk index
+      EXPECT_EQ(s.end, 800);
+      EXPECT_TRUE(s.error);
+      ++found;
     }
   }
-  EXPECT_EQ(found, 2);
+  EXPECT_EQ(found, 4);
 
   c.End(1000, req);
   std::string err;

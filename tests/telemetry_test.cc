@@ -1,6 +1,7 @@
 // Tests for the metrics layer: log2 histogram bucketing and quantiles, the
-// named-metric registry, the online telemetry collector's interval pairing,
-// and whole-kernel counter capture.
+// named-metric registry, the online telemetry collector's interval pairing
+// (and its agreement with the span builder's), and whole-kernel counter
+// capture.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,9 @@
 
 #include "src/dev/disk_driver.h"
 #include "src/dev/ram_disk.h"
+#include "src/metrics/experiment.h"
 #include "src/metrics/histogram.h"
+#include "src/metrics/span_trace.h"
 #include "src/metrics/telemetry.h"
 #include "src/metrics/trace_export.h"
 #include "src/os/kernel.h"
@@ -138,6 +141,14 @@ TEST(TelemetryCollectorTest, PairsIntervalsByKey) {
   EXPECT_EQ(chunk->sum(), 290 + 500);
   EXPECT_EQ(collector.PendingIntervals(), 0u);
 
+  // A teardown retracts every outstanding read of its serial: the reads
+  // close without a latency sample.
+  collector.Observe({600, TraceKind::kSpliceRead, 5, 0, ""});
+  collector.Observe({610, TraceKind::kSpliceRead, 5, 1, ""});
+  collector.Observe({700, TraceKind::kSpliceReadAbort, 5, 0, ""});
+  EXPECT_EQ(collector.PendingIntervals(), 0u);
+  EXPECT_EQ(chunk->count(), 2u);
+
   // Unmatched ends are ignored, unmatched begins stay pending.
   collector.Observe({100, TraceKind::kDiskComplete, 9, 0, "dev.a"});
   collector.Observe({200, TraceKind::kSpliceRead, 2, 0, ""});
@@ -221,6 +232,9 @@ TEST(TelemetryCollectorTest, FeedsFromLiveKernelRun) {
   MetricsRegistry registry;
   TelemetryCollector collector(&registry);
   collector.Attach(&log);
+  KspanCollector spans;
+  SpanTraceBuilder builder(&spans);
+  builder.Attach(&log);
   kernel.AttachTrace(&log);
 
   kernel.Spawn("p", [&](Process& p) -> Task<> {
@@ -241,15 +255,30 @@ TEST(TelemetryCollectorTest, FeedsFromLiveKernelRun) {
   EXPECT_EQ(registry.Histogram("disk.service_time.RZ56")->sum(),
             registry.GetCounter("disk.d.busy_time_ns"));
 
+  // The span builder pairs the same records into as many derived spans.
+  auto histogram_count = [&](const std::string& prefix) {
+    uint64_t n = 0;
+    for (const auto& [name, h] : registry.histograms()) {
+      n += name.starts_with(prefix) ? h.count() : 0;
+    }
+    return n;
+  };
+  EXPECT_EQ(builder.derived().at("disk.xfer"), histogram_count("disk.service_time."));
+  EXPECT_EQ(builder.derived().at("splice.chunk"), histogram_count("splice.chunk_latency"));
+  EXPECT_EQ(builder.derived().at("syscall"), histogram_count("syscall.latency."));
+
   // Sampled counters mirror the kernel's stats structs.
   EXPECT_EQ(registry.GetCounter("sys.syscalls"),
             static_cast<int64_t>(kernel.stats().syscalls));
+  EXPECT_EQ(registry.GetCounter("splice.started"), 1);
+  EXPECT_EQ(registry.GetCounter("splice.completed"), 1);
   EXPECT_EQ(registry.GetCounter("splice.total_bytes"), 4 * kBlockSize);
   EXPECT_EQ(registry.GetCounter("cache.misses"),
             static_cast<int64_t>(kernel.cache().stats().misses));
   EXPECT_EQ(registry.GetCounter("disk.d.requests"),
             static_cast<int64_t>(disk.stats().requests));
   EXPECT_GT(registry.GetCounter("cpu.process_work_ns"), 0);
+  EXPECT_GE(IdleFraction(kernel, sim.Now()), 0.0);
   // The RAM-disk mount has no scheduler: no counters under its prefix.
   EXPECT_FALSE(registry.HasCounter("disk.r.requests"));
 }
