@@ -220,17 +220,8 @@ FaultCell RunCell(ikdp::SubmitMode mode, int n, double dev_rate, double loss,
     bool ok = cell.ms.ok;
     for (int i = 0; i < n && ok; ++i) {
       ikdp::Inode* ip = dst_fs->Lookup(std::string("d").append(std::to_string(i)));
-      if (ip == nullptr || ip->size != stream_bytes) {
-        ok = false;
-        break;
-      }
-      const std::vector<uint8_t> back = dst_fs->ReadFileInstant(ip);
-      for (int64_t b = 0; b < stream_bytes; ++b) {
-        if (back[static_cast<size_t>(b)] != pattern(i, b)) {
-          ok = false;
-          break;
-        }
-      }
+      ok = ip != nullptr && ip->size == stream_bytes &&
+           dst_fs->VerifyFileInstant(ip, [&pattern, i](int64_t b) { return pattern(i, b); });
     }
     cell.verified = ok;
   }

@@ -20,15 +20,13 @@
 #include <memory>
 #include <vector>
 
+#include "src/buf/block_store.h"
 #include "src/kern/ctx.h"
 #include "src/kern/kernel_context.h"
 #include "src/sim/kspan.h"
 #include "src/sim/time.h"
 
 namespace ikdp {
-
-// The filesystem block size used throughout (4.2BSD FFS default).
-inline constexpr int64_t kBlockSize = 8192;
 
 // A block's data area.  shared_ptr so a splice write-side header can alias
 // the read-side buffer's data without copying (the paper's key zero-copy
@@ -126,7 +124,8 @@ struct Buf {
 IKDP_CTX_ANY void Biodone(Buf& b);
 
 // A block device as the buffer cache sees it: a strategy routine that
-// services one buffer and eventually calls Biodone(), plus a capacity.
+// services one buffer and eventually calls Biodone(), plus a capacity and
+// the device's contents, a BlockStore.
 //
 // Strategy() returns the CPU time the *caller's context* must be charged for
 // issuing (and, for synchronous devices like the RAM disk, performing) the
@@ -135,22 +134,39 @@ IKDP_CTX_ANY void Biodone(Buf& b);
 // the CPU in whoever's context submitted it (paper Section 6.1).
 class BlockDevice {
  public:
+  explicit BlockDevice(int64_t capacity_blocks) : store_(capacity_blocks) {}
   virtual ~BlockDevice() = default;
+
+  BlockDevice(const BlockDevice&) = delete;
+  BlockDevice& operator=(const BlockDevice&) = delete;
 
   // Begins servicing `b` (direction per kBufRead).  Completion is signalled
   // via Biodone(b), possibly synchronously before Strategy returns.
   // Interrupt-safe: the splice read path submits from completion handlers.
   IKDP_CTX_ANY virtual SimDuration Strategy(Buf& b) = 0;
 
-  // Device size in kBlockSize blocks.
-  virtual int64_t CapacityBlocks() const = 0;
-
   virtual const char* Name() const = 0;
 
+  // Device size in kBlockSize blocks.
+  int64_t CapacityBlocks() const { return store_.size(); }
+
   // Untimed content access, used for experiment setup (pre-creating files
-  // without simulating the writes) and end-to-end verification.
-  virtual void PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) = 0;
-  virtual std::vector<uint8_t> PeekBlock(int64_t blkno) const = 0;
+  // without simulating the writes) and end-to-end verification.  store()
+  // works in place; PokeBlock/PeekBlock copy one block in or out (a short
+  // `data` is zero-padded to the block).
+  BlockStore& store() { return store_; }
+  const BlockStore& store() const { return store_; }
+  void PokeBlock(int64_t blkno, const std::vector<uint8_t>& data);
+  std::vector<uint8_t> PeekBlock(int64_t blkno) const;
+
+ protected:
+  // Moves `b`'s bcount bytes when the driver completes it: a read fills the
+  // buffer's data area from the store, a write persists it.  Untimed; the
+  // driver charges whatever the transfer costs.
+  void MoveContent(Buf& b, bool is_read);
+
+ private:
+  BlockStore store_;
 };
 
 }  // namespace ikdp

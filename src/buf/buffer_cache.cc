@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 #include "src/buf/buf_check.h"
@@ -11,6 +12,31 @@ namespace ikdp {
 void Biodone(Buf& b) {
   assert(b.cache != nullptr);
   b.cache->IoDone(&b);
+}
+
+void BlockDevice::PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) {
+  assert(static_cast<int64_t>(data.size()) <= kBlockSize);
+  uint8_t* blk = store_.Write(blkno);
+  std::copy(data.begin(), data.end(), blk);
+  std::fill(blk + data.size(), blk + kBlockSize, 0);
+}
+
+std::vector<uint8_t> BlockDevice::PeekBlock(int64_t blkno) const {
+  const uint8_t* blk = store_.Read(blkno);
+  return std::vector<uint8_t>(blk, blk + kBlockSize);
+}
+
+void BlockDevice::MoveContent(Buf& b, bool is_read) {
+  if (b.data == nullptr) {
+    return;
+  }
+  assert(b.bcount <= kBlockSize && static_cast<int64_t>(b.data->size()) >= b.bcount);
+  const size_t n = static_cast<size_t>(b.bcount);
+  if (is_read) {
+    std::memcpy(b.data->data(), store_.Read(b.blkno), n);
+  } else {
+    std::memcpy(store_.Write(b.blkno), b.data->data(), n);
+  }
 }
 
 BufferCache::BufferCache(CpuSystem* cpu, int nbufs) : cpu_(cpu), nbufs_(nbufs) {
@@ -523,6 +549,17 @@ void BufferCache::FlushAllInstant() {
       b->Clear(kBufDelwri);
     }
   }
+}
+
+const uint8_t* BufferCache::PeekInstant(BlockDevice* dev, int64_t blkno) const {
+  for (const auto& owned : pool_) {
+    const Buf* b = owned.get();
+    if (b->hashed && b->dev == dev && b->blkno == blkno && b->data != nullptr &&
+        (b->Has(kBufDone) || b->Has(kBufDelwri))) {
+      return b->data->data();
+    }
+  }
+  return dev->store().Read(blkno);
 }
 
 int BufferCache::PendingWrites(BlockDevice* dev) const {

@@ -106,6 +106,12 @@ class BufferCache {
   // content verification in tests and harnesses; never part of a timed run.
   void FlushAllInstant();
 
+  // The newest bytes of (dev, blkno), untimed: the cached copy when the
+  // cache holds the block's data (kBufDone or kBufDelwri), else the
+  // device's store.  Host-side like FlushAllInstant; the filesystem reads
+  // indirect blocks through it when it frees a file's blocks.
+  const uint8_t* PeekInstant(BlockDevice* dev, int64_t blkno) const;
+
   // --- splice (non-blocking) API ---
 
   // Paper's modified bread: acquires a buffer for (dev, blkno) and schedules

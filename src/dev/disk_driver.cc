@@ -17,11 +17,7 @@ namespace ikdp {
 // for the declared IKDP_ORDERED_BY(diskq) queue.
 
 DiskDriver::DiskDriver(CpuSystem* cpu, Simulator* sim, DiskParams params)
-    : cpu_(cpu), disk_(sim, std::move(params)) {}
-
-int64_t DiskDriver::CapacityBlocks() const {
-  return disk_.params().capacity_bytes / kBlockSize;
-}
+    : BlockDevice(params.capacity_bytes / kBlockSize), cpu_(cpu), disk_(sim, std::move(params)) {}
 
 SimDuration DiskDriver::Strategy(Buf& b) {
   assert(b.blkno >= 0 && b.blkno < CapacityBlocks());
@@ -111,39 +107,12 @@ void DiskDriver::Complete(Buf* b, bool ok, int error) {
       lock_.Release();
       return;
     }
-    // Move content at completion: reads fill the buffer, writes persist it.
-    if (b->Has(kBufRead)) {
-      auto it = store_.find(b->blkno);
-      if (b->data != nullptr) {
-        if (it != store_.end()) {
-          std::copy(it->second.begin(), it->second.end(), b->data->begin());
-        } else {
-          std::fill(b->data->begin(), b->data->end(), 0);
-        }
-      }
-    } else if (b->data != nullptr) {
-      store_[b->blkno] = *b->data;
-    }
+    MoveContent(*b, b->Has(kBufRead));
     Biodone(*b);
     lock_.Acquire();
     StartHw();
     lock_.Release();
   });
-}
-
-void DiskDriver::PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) {
-  assert(static_cast<int64_t>(data.size()) <= kBlockSize);
-  auto& blk = store_[blkno];
-  blk.assign(kBlockSize, 0);
-  std::copy(data.begin(), data.end(), blk.begin());
-}
-
-std::vector<uint8_t> DiskDriver::PeekBlock(int64_t blkno) const {
-  auto it = store_.find(blkno);
-  if (it == store_.end()) {
-    return std::vector<uint8_t>(kBlockSize, 0);
-  }
-  return it->second;
 }
 
 }  // namespace ikdp

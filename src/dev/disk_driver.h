@@ -6,7 +6,7 @@
 // hardware completion raises a device interrupt that is charged to the CPU
 // (interrupt stealing) and then delivers Biodone() on the buffer.
 //
-// The driver also owns the *contents* of the device, a sparse block store,
+// The device's *contents* live in its BlockStore (src/buf/block_store.h),
 // so files written through the simulator can be read back and verified
 // byte-for-byte.  Content moves at completion time; timing comes from the
 // DiskModel.
@@ -16,8 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
-#include <vector>
 
 #include "src/buf/buf.h"
 #include "src/hw/disk.h"
@@ -38,14 +36,9 @@ class DiskDriver : public BlockDevice {
 
   // BlockDevice:
   IKDP_CTX_ANY SimDuration Strategy(Buf& b) override;
-  int64_t CapacityBlocks() const override;
   const char* Name() const override { return disk_.params().name.c_str(); }
 
   DiskModel& disk() { return disk_; }
-
-  // BlockDevice content access (untimed).
-  void PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) override;
-  std::vector<uint8_t> PeekBlock(int64_t blkno) const override;
 
   struct Stats {
     uint64_t requests = 0;
@@ -90,7 +83,6 @@ class DiskDriver : public BlockDevice {
   std::deque<Buf*> queue_ IKDP_GUARDED_BY(lock:diskq);
   bool hw_busy_ IKDP_GUARDED_BY(lock:diskq) = false;
   int64_t last_issued_blkno_ IKDP_GUARDED_BY(lock:diskq) = 0;
-  std::unordered_map<int64_t, std::vector<uint8_t>> store_;
   Stats stats_;
 };
 

@@ -1,10 +1,13 @@
 // RAM disk block-device driver (paper Section 6.1).
 //
 // "The ram disk driver uses 16MB of statically allocated memory from the
-// kernel's BSS region."  There is no seek, no rotation, and no completion
-// interrupt; Strategy() completes the buffer synchronously (via Biodone
-// before returning) and reports the transfer's CPU cost as the caller's
-// charge.
+// kernel's BSS region."  The model keeps that: the whole capacity is
+// addressable from the start and costs nothing to reach.  The simulator's
+// host storage is the device's BlockStore, materialized per written block,
+// so an unwritten block reads as zeros and takes no host memory.  There is
+// no seek, no rotation, and no completion interrupt; Strategy() completes
+// the buffer synchronously (via Biodone before returning) and reports the
+// transfer's CPU cost as the caller's charge.
 //
 // Reads are zero-copy: the driver can point the buffer at the block's
 // location in its core (kernel BSS is directly addressable), so a read
@@ -18,7 +21,6 @@
 #define SRC_DEV_RAM_DISK_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/buf/buf.h"
 #include "src/kern/cpu.h"
@@ -31,12 +33,7 @@ class RamDisk : public BlockDevice {
 
   // BlockDevice:
   IKDP_CTX_ANY SimDuration Strategy(Buf& b) override;
-  int64_t CapacityBlocks() const override { return capacity_blocks_; }
   const char* Name() const override { return "RAM"; }
-
-  // BlockDevice content access (untimed).
-  void PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) override;
-  std::vector<uint8_t> PeekBlock(int64_t blkno) const override;
 
   struct Stats {
     uint64_t reads = 0;
@@ -47,8 +44,6 @@ class RamDisk : public BlockDevice {
 
  private:
   CpuSystem* cpu_;
-  int64_t capacity_blocks_;
-  std::vector<uint8_t> core_;  // the "statically allocated" backing store
   Stats stats_;
 };
 

@@ -10,15 +10,15 @@ namespace ikdp {
 namespace {
 
 // Indirect-block entries are 32-bit little-endian physical block numbers.
-int64_t LoadPtr(const std::vector<uint8_t>& block, int64_t index) {
+int64_t LoadPtr(const uint8_t* block, int64_t index) {
   uint32_t v = 0;
-  std::memcpy(&v, block.data() + index * 4, 4);
+  std::memcpy(&v, block + index * 4, 4);
   return static_cast<int64_t>(v);
 }
 
-void StorePtr(std::vector<uint8_t>* block, int64_t index, int64_t value) {
+void StorePtr(uint8_t* block, int64_t index, int64_t value) {
   const uint32_t v = static_cast<uint32_t>(value);
-  std::memcpy(block->data() + index * 4, &v, 4);
+  std::memcpy(block + index * 4, &v, 4);
 }
 
 }  // namespace
@@ -81,7 +81,7 @@ void FileSystem::FreeInodeBlocks(Inode* ip) {
     if (ind == 0) {
       return;
     }
-    const std::vector<uint8_t> blk = dev_->PeekBlock(ind);
+    const uint8_t* blk = cache_->PeekInstant(dev_, ind);
     for (int64_t i = 0; i < kPtrsPerBlock; ++i) {
       const int64_t pbn = LoadPtr(blk, i);
       if (pbn != 0) {
@@ -91,7 +91,7 @@ void FileSystem::FreeInodeBlocks(Inode* ip) {
     FreeBlock(ind);
   };
   if (ip->dindirect != 0) {
-    const std::vector<uint8_t> blk = dev_->PeekBlock(ip->dindirect);
+    const uint8_t* blk = cache_->PeekInstant(dev_, ip->dindirect);
     for (int64_t i = 0; i < kPtrsPerBlock; ++i) {
       free_indirect(LoadPtr(blk, i));
     }
@@ -145,7 +145,7 @@ Task<int64_t> FileSystem::ReadPtr(Process& p, int64_t pbn, int64_t index) {
     cache_->Brelse(b);
     co_return -1;  // unreadable indirect block, not a hole
   }
-  const int64_t value = LoadPtr(*b->data, index);
+  const int64_t value = LoadPtr(b->data->data(), index);
   cache_->Brelse(b);
   co_return value;
 }
@@ -156,7 +156,7 @@ Task<bool> FileSystem::WritePtr(Process& p, int64_t pbn, int64_t index, int64_t 
     cache_->Brelse(b);
     co_return false;
   }
-  StorePtr(b->data.get(), index, value);
+  StorePtr(b->data->data(), index, value);
   cache_->Bdwrite(p, b);
   co_return true;
 }
@@ -394,34 +394,38 @@ Task<> FileSystem::Fsync(Process& p, Inode* /*ip*/) {
 // --- untimed helpers ---
 
 int64_t FileSystem::BmapInstant(Inode* ip, int64_t lbn, bool alloc) {
-  auto poke_ptr = [this](int64_t blk, int64_t index, int64_t value) {
-    std::vector<uint8_t> img = dev_->PeekBlock(blk);
-    StorePtr(&img, index, value);
-    dev_->PokeBlock(blk, img);
-  };
-  if (lbn < kDirectBlocks) {
-    int64_t pbn = ip->direct[static_cast<size_t>(lbn)];
-    if (pbn == 0 && alloc) {
-      pbn = AllocBlock();
-      ip->direct[static_cast<size_t>(lbn)] = pbn;
+  BlockStore& store = dev_->store();
+  // With alloc, a hole is filled by a fresh block; a fresh pointer block
+  // starts out all zeros.
+  auto fresh = [&](bool ptr_block) -> int64_t {
+    const int64_t pbn = alloc ? AllocBlock() : 0;
+    if (pbn != 0 && ptr_block) {
+      store.Clear(pbn);
     }
     return pbn;
+  };
+  // Follows a pointer held in the inode.
+  auto in_inode = [&](int64_t* slot, bool ptr_block) -> int64_t {
+    if (*slot == 0) {
+      *slot = fresh(ptr_block);
+    }
+    return *slot;
+  };
+  // Follows entry `index` of pointer block `blk`, in place on the store.
+  auto in_block = [&](int64_t blk, int64_t index, bool ptr_block) -> int64_t {
+    int64_t pbn = LoadPtr(store.Read(blk), index);
+    if (pbn == 0 && (pbn = fresh(ptr_block)) != 0) {
+      StorePtr(store.Write(blk), index, pbn);
+    }
+    return pbn;
+  };
+  if (lbn < kDirectBlocks) {
+    return in_inode(&ip->direct[static_cast<size_t>(lbn)], /*ptr_block=*/false);
   }
   int64_t rest = lbn - kDirectBlocks;
   if (rest < kPtrsPerBlock) {
-    if (ip->indirect == 0) {
-      if (!alloc) {
-        return 0;
-      }
-      ip->indirect = AllocBlock();
-      dev_->PokeBlock(ip->indirect, std::vector<uint8_t>(kBlockSize, 0));
-    }
-    int64_t pbn = LoadPtr(dev_->PeekBlock(ip->indirect), rest);
-    if (pbn == 0 && alloc) {
-      pbn = AllocBlock();
-      poke_ptr(ip->indirect, rest, pbn);
-    }
-    return pbn;
+    const int64_t ind = in_inode(&ip->indirect, /*ptr_block=*/true);
+    return ind == 0 ? 0 : in_block(ind, rest, /*ptr_block=*/false);
   }
   rest -= kPtrsPerBlock;
   const int64_t outer = rest / kPtrsPerBlock;
@@ -429,53 +433,51 @@ int64_t FileSystem::BmapInstant(Inode* ip, int64_t lbn, bool alloc) {
   if (outer >= kPtrsPerBlock) {
     return 0;
   }
-  if (ip->dindirect == 0) {
-    if (!alloc) {
-      return 0;
-    }
-    ip->dindirect = AllocBlock();
-    dev_->PokeBlock(ip->dindirect, std::vector<uint8_t>(kBlockSize, 0));
-  }
-  int64_t mid = LoadPtr(dev_->PeekBlock(ip->dindirect), outer);
-  if (mid == 0) {
-    if (!alloc) {
-      return 0;
-    }
-    mid = AllocBlock();
-    dev_->PokeBlock(mid, std::vector<uint8_t>(kBlockSize, 0));
-    poke_ptr(ip->dindirect, outer, mid);
-  }
-  int64_t pbn = LoadPtr(dev_->PeekBlock(mid), inner);
-  if (pbn == 0 && alloc) {
-    pbn = AllocBlock();
-    poke_ptr(mid, inner, pbn);
-  }
-  return pbn;
+  const int64_t dind = in_inode(&ip->dindirect, /*ptr_block=*/true);
+  const int64_t mid = dind == 0 ? 0 : in_block(dind, outer, /*ptr_block=*/true);
+  return mid == 0 ? 0 : in_block(mid, inner, /*ptr_block=*/false);
+}
+
+const uint8_t* FileSystem::BlockInstant(Inode* ip, int64_t lbn) {
+  const int64_t pbn = BmapInstant(ip, lbn, /*alloc=*/false);
+  return pbn == 0 ? kZeroBlock.data() : dev_->store().Read(pbn);
 }
 
 Inode* FileSystem::CreateFileInstant(const std::string& fname, int64_t nbytes,
-                                     const std::function<uint8_t(int64_t)>& fill) {
+                                     const BlockFill& fill) {
   Inode* ip = Create(fname);
   if (ip == nullptr) {
     return nullptr;
   }
   const int64_t nblocks = (nbytes + kBlockSize - 1) / kBlockSize;
-  std::vector<uint8_t> block(kBlockSize);
   for (int64_t lbn = 0; lbn < nblocks; ++lbn) {
     const int64_t pbn = BmapInstant(ip, lbn, /*alloc=*/true);
     if (pbn == 0) {
-      return nullptr;  // device full
+      Remove(fname);  // device full: undo the partial file
+      return nullptr;
     }
     const int64_t base = lbn * kBlockSize;
     const int64_t valid = std::min<int64_t>(kBlockSize, nbytes - base);
-    for (int64_t i = 0; i < valid; ++i) {
-      block[static_cast<size_t>(i)] = fill(base + i);
-    }
-    std::fill(block.begin() + valid, block.end(), 0);
-    dev_->PokeBlock(pbn, block);
+    uint8_t* blk = dev_->store().Write(pbn);
+    fill(base, std::span<uint8_t>(blk, static_cast<size_t>(valid)));
+    std::fill(blk + valid, blk + kBlockSize, 0);
   }
   ip->size = nbytes;
   return ip;
+}
+
+bool FileSystem::VerifyFileInstant(Inode* ip, const BlockFill& expected) {
+  std::vector<uint8_t> want(kBlockSize);
+  const int64_t nblocks = ip->SizeBlocks();
+  for (int64_t lbn = 0; lbn < nblocks; ++lbn) {
+    const int64_t base = lbn * kBlockSize;
+    const size_t valid = static_cast<size_t>(std::min<int64_t>(kBlockSize, ip->size - base));
+    expected(base, std::span<uint8_t>(want.data(), valid));
+    if (std::memcmp(BlockInstant(ip, lbn), want.data(), valid) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::vector<uint8_t> FileSystem::ReadFileInstant(Inode* ip) {
@@ -483,15 +485,9 @@ std::vector<uint8_t> FileSystem::ReadFileInstant(Inode* ip) {
   out.reserve(static_cast<size_t>(ip->size));
   const int64_t nblocks = ip->SizeBlocks();
   for (int64_t lbn = 0; lbn < nblocks; ++lbn) {
-    const int64_t pbn = BmapInstant(ip, lbn, /*alloc=*/false);
-    const int64_t base = lbn * kBlockSize;
-    const int64_t valid = std::min<int64_t>(kBlockSize, ip->size - base);
-    if (pbn == 0) {
-      out.insert(out.end(), static_cast<size_t>(valid), 0);
-    } else {
-      const std::vector<uint8_t> blk = dev_->PeekBlock(pbn);
-      out.insert(out.end(), blk.begin(), blk.begin() + valid);
-    }
+    const int64_t valid = std::min<int64_t>(kBlockSize, ip->size - lbn * kBlockSize);
+    const uint8_t* blk = BlockInstant(ip, lbn);
+    out.insert(out.end(), blk, blk + valid);
   }
   return out;
 }

@@ -32,7 +32,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/buf/buf.h"
@@ -46,6 +49,25 @@ namespace ikdp {
 inline constexpr int kDirectBlocks = 12;
 // 8 KB block of 32-bit entries.
 inline constexpr int64_t kPtrsPerBlock = kBlockSize / 4;
+
+// Writes a file's bytes [offset, offset + dst.size()) into `dst`.  The
+// untimed helpers call it once per block, straight on the device's store.
+using BlockFill = std::function<void(int64_t offset, std::span<uint8_t> dst)>;
+
+// A per-byte fill: byte i of the file is fill(i).
+template <typename F>
+concept ByteFill = std::is_invocable_r_v<uint8_t, F&, int64_t>;
+
+// Adapts a per-byte fill to a BlockFill; the byte call inlines into the
+// block loop.
+template <ByteFill F>
+BlockFill Bytewise(F byte) {
+  return [byte = std::move(byte)](int64_t offset, std::span<uint8_t> dst) mutable {
+    for (size_t i = 0; i < dst.size(); ++i) {
+      dst[i] = static_cast<uint8_t>(byte(offset + static_cast<int64_t>(i)));
+    }
+  };
+}
 
 struct Inode {
   int64_t ino = -1;
@@ -118,13 +140,27 @@ class FileSystem {
 
   // --- untimed helpers for experiment setup and verification ---
 
-  // Creates `fname` of `nbytes` whose contents are fill(i) at byte i,
-  // writing straight to the device (no simulated time).
-  Inode* CreateFileInstant(const std::string& fname, int64_t nbytes,
-                           const std::function<uint8_t(int64_t)>& fill);
+  // Creates `fname` of `nbytes` with the contents `fill` writes, straight
+  // into the device's store block by block (no simulated time); the tail of
+  // the last block past `nbytes` is zero.  Returns nullptr, leaving no trace
+  // of the file, if the name exists or the device fills.
+  Inode* CreateFileInstant(const std::string& fname, int64_t nbytes, const BlockFill& fill);
+  template <ByteFill F>
+  Inode* CreateFileInstant(const std::string& fname, int64_t nbytes, F fill) {
+    return CreateFileInstant(fname, nbytes, Bytewise(std::move(fill)));
+  }
+
+  // True if the file's bytes on the device are exactly what `expected`
+  // writes, compared block by block in place (no simulated time), bypassing
+  // the cache; pair with BufferCache::FlushAllInstant.
+  bool VerifyFileInstant(Inode* ip, const BlockFill& expected);
+  template <ByteFill F>
+  bool VerifyFileInstant(Inode* ip, F expected) {
+    return VerifyFileInstant(ip, Bytewise(std::move(expected)));
+  }
 
   // Reads the whole file straight from the device (no simulated time),
-  // bypassing the cache; pair with BufferCache::FlushDev for verification.
+  // bypassing the cache.
   std::vector<uint8_t> ReadFileInstant(Inode* ip);
 
   // Sequential read-ahead depth in blocks (4.2BSD reads one block ahead;
@@ -149,6 +185,9 @@ class FileSystem {
   // the device is full.
   int64_t AllocBlock();
   void FreeBlock(int64_t pbn);
+  // Frees every block of `ip`.  Pointer blocks are read untimed through the
+  // cache (BufferCache::PeekInstant), so entries still held in a delayed
+  // write are freed too.
   void FreeInodeBlocks(Inode* ip);
 
   // Reads/writes a 32-bit entry in an on-device indirect block, through the
@@ -162,9 +201,11 @@ class FileSystem {
   // bmap behaviour splice's special bmap avoids).
   IKDP_CTX_PROCESS Task<> ZeroFill(Process& p, int64_t pbn);
 
-  // Untimed physical-block mapper used by the Instant helpers; allocates
-  // with zeroed metadata I/O.
+  // Untimed physical-block mapper used by the Instant helpers: reads and
+  // writes pointer blocks in place on the device's store.
   int64_t BmapInstant(Inode* ip, int64_t lbn, bool alloc);
+  // Logical block `lbn` of `ip` on the store, read-only (zeros for a hole).
+  const uint8_t* BlockInstant(Inode* ip, int64_t lbn);
 
   CpuSystem* cpu_;
   BufferCache* cache_;

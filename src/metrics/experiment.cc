@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "src/dev/disk_driver.h"
 #include "src/dev/ram_disk.h"
@@ -18,7 +18,13 @@ namespace ikdp {
 
 namespace {
 
-uint8_t FilePattern(int64_t i) { return static_cast<uint8_t>((i * 2654435761u) >> 5 & 0xff); }
+// The source file's contents: byte i is a hash of i.
+void FilePattern(int64_t offset, std::span<uint8_t> dst) {
+  for (size_t k = 0; k < dst.size(); ++k) {
+    const int64_t i = offset + static_cast<int64_t>(k);
+    dst[k] = static_cast<uint8_t>((i * 2654435761u) >> 5 & 0xff);
+  }
+}
 
 std::unique_ptr<BlockDevice> MakeDisk(DiskKind kind, CpuSystem* cpu, Simulator* sim,
                                       const char* role) {
@@ -131,14 +137,9 @@ ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {
   // metadata writes straight to the device).
   kernel.cache().FlushAllInstant();
   Inode* dst_ip = dst_fs->Lookup("copy");
-  if (dst_ip == nullptr || dst_ip->size != config.file_bytes) {
+  if (dst_ip == nullptr || dst_ip->size != config.file_bytes ||
+      !dst_fs->VerifyFileInstant(dst_ip, FilePattern)) {
     return result;
-  }
-  const std::vector<uint8_t> back = dst_fs->ReadFileInstant(dst_ip);
-  for (int64_t i = 0; i < config.file_bytes; ++i) {
-    if (back[static_cast<size_t>(i)] != FilePattern(i)) {
-      return result;
-    }
   }
 
   result.ok = true;

@@ -152,6 +152,17 @@ TEST_F(FsTest, InstantFileRoundTrip) {
   }
 }
 
+TEST_F(FsTest, InstantFileVerifiesInPlace) {
+  constexpr int64_t kBytes = 16 * kBlockSize + 5;  // crosses into indirect
+  Inode* ip = fs_.CreateFileInstant("v", kBytes, Fill);
+  ASSERT_NE(ip, nullptr);
+  EXPECT_TRUE(fs_.VerifyFileInstant(ip, Fill));
+  // Expecting one byte past the direct blocks to differ fails the check.
+  constexpr int64_t kOff = 14 * kBlockSize + 3;
+  EXPECT_FALSE(fs_.VerifyFileInstant(
+      ip, [](int64_t i) { return static_cast<uint8_t>(Fill(i) ^ (i == kOff ? 1 : 0)); }));
+}
+
 TEST_F(FsTest, InstantFileReadableThroughTimedPath) {
   constexpr int64_t kBytes = 16 * kBlockSize;  // crosses into indirect
   Inode* ip = fs_.CreateFileInstant("inst2", kBytes, Fill);
@@ -192,6 +203,20 @@ TEST_F(FsTest, RemoveFreesAllBlocks) {
   EXPECT_LT(fs_.FreeBlocks(), before);
   fs_.Remove("tmp");
   EXPECT_EQ(fs_.FreeBlocks(), before);
+}
+
+TEST_F(FsTest, FailedInstantCreateLeavesNoTrace) {
+  // One block more than the device holds: the create runs out of space
+  // after allocating every data block and the pointer blocks; it must undo
+  // all of it, name included.
+  RamDisk small(&cpu_, 1 << 20);
+  FileSystem fs(&cpu_, &cache_, &small, "small");
+  const int64_t before = fs.FreeBlocks();
+  EXPECT_EQ(fs.CreateFileInstant("huge", (before + 1) * kBlockSize, Fill), nullptr);
+  EXPECT_EQ(fs.Lookup("huge"), nullptr);
+  EXPECT_EQ(fs.FreeBlocks(), before);
+  // The space is usable again.
+  EXPECT_NE(fs.CreateFileInstant("huge", 40 * kBlockSize, Fill), nullptr);
 }
 
 TEST_F(FsTest, PartialOverwritePreservesNeighbours) {

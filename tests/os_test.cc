@@ -63,6 +63,24 @@ TEST_F(OsTest, OpenTruncEmptiesFile) {
   });
 }
 
+TEST_F(OsTest, OpenTruncFreesBlocksMappedThroughDelayedIndirect) {
+  // 20 blocks: 12 direct plus 8 mapped through the single-indirect block,
+  // which is still a delayed write in the cache when the file is truncated.
+  // Every one of the 21 blocks must come back.
+  const int64_t before = fs_->FreeBlocks();
+  Run([&](Process& p) -> Task<> {
+    const int w = co_await kernel_.Open(p, "fs:t", kOpenWrite | kOpenCreate);
+    const std::vector<uint8_t> data(20 * kBlockSize, 0x5A);
+    EXPECT_EQ(co_await kernel_.Write(p, w, data), 20 * kBlockSize);
+    co_await kernel_.Close(p, w);
+    EXPECT_EQ(fs_->FreeBlocks(), before - 21);
+    const int t = co_await kernel_.Open(p, "fs:t", kOpenWrite | kOpenTrunc);
+    EXPECT_GE(t, 0);
+    co_await kernel_.Close(p, t);
+  });
+  EXPECT_EQ(fs_->FreeBlocks(), before);
+}
+
 TEST_F(OsTest, ReadWriteRoundTripThroughFds) {
   Run([&](Process& p) -> Task<> {
     const int w = co_await kernel_.Open(p, "fs:f", kOpenWrite | kOpenCreate);

@@ -3,6 +3,8 @@
 the clean fixture must pass, and the real tree must be clean.
 
 Run from the repo root (ctest does):  python3 tools/kcheck/test_kcheck.py
+One case:   python3 tools/kcheck/test_kcheck.py FixtureRejection.test_buf_flags
+List cases: python3 tools/kcheck/test_kcheck.py --list
 """
 
 import contextlib
@@ -571,5 +573,19 @@ class TreeIsClean(unittest.TestCase):
             self.assertIn(expect, joined)
 
 
+def case_names(suite):
+    """Class.test_name of every case in `suite`, in load order."""
+    for t in suite:
+        if isinstance(t, unittest.TestSuite):
+            yield from case_names(t)
+        else:
+            yield t.id().split(".", 1)[1]
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--list"]:
+        # One line per case: ctest registers each as its own test.
+        suite = unittest.defaultTestLoader.loadTestsFromModule(sys.modules[__name__])
+        print("\n".join(case_names(suite)))
+        sys.exit(0)
     unittest.main()
