@@ -92,15 +92,11 @@ CellResult RunCell(ikdp::SubmitMode mode, int n, int64_t stream_bytes,
   ikdp::FileSystem* src_fs = kernel.MountFs(&src_dev, "srcfs");
   ikdp::FileSystem* dst_fs = kernel.MountFs(&dst_dev, "dstfs");
 
-  auto pattern = [](int stream, int64_t i) {
-    return static_cast<uint8_t>(((i * 2654435761u) >> 5 ^ stream * 97) & 0xff);
-  };
   std::vector<ikdp::StreamSpec> streams;
   for (int i = 0; i < n; ++i) {
     const std::string name = std::string("s").append(std::to_string(i));
     if (src_fs->CreateFileInstant(name, stream_bytes,
-                                  [&pattern, i](int64_t b) { return pattern(i, b); }) ==
-        nullptr) {
+                                  ikdp::PatternFill(static_cast<uint64_t>(i))) == nullptr) {
       return cell;
     }
     ikdp::StreamSpec spec;
@@ -136,7 +132,7 @@ CellResult RunCell(ikdp::SubmitMode mode, int n, int64_t stream_bytes,
   for (int i = 0; i < n; ++i) {
     ikdp::Inode* ip = dst_fs->Lookup(std::string("d").append(std::to_string(i)));
     if (ip == nullptr || ip->size != stream_bytes ||
-        !dst_fs->VerifyFileInstant(ip, [&pattern, i](int64_t b) { return pattern(i, b); })) {
+        !dst_fs->VerifyFileInstant(ip, ikdp::PatternFill(static_cast<uint64_t>(i)))) {
       return cell;
     }
   }

@@ -127,15 +127,11 @@ FaultCell RunCell(ikdp::SubmitMode mode, int n, double dev_rate, double loss,
   }
   sa.ConnectTo(&sb, &wire);
 
-  auto pattern = [](int stream, int64_t i) {
-    return static_cast<uint8_t>(((i * 2654435761u) >> 5 ^ stream * 97) & 0xff);
-  };
   std::vector<ikdp::StreamSpec> streams;
   for (int i = 0; i < n; ++i) {
     const std::string name = std::string("s").append(std::to_string(i));
     if (src_fs->CreateFileInstant(name, stream_bytes,
-                                  [&pattern, i](int64_t b) { return pattern(i, b); }) ==
-        nullptr) {
+                                  ikdp::PatternFill(static_cast<uint64_t>(i))) == nullptr) {
       return cell;
     }
     ikdp::StreamSpec spec;
@@ -145,8 +141,7 @@ FaultCell RunCell(ikdp::SubmitMode mode, int n, double dev_rate, double loss,
     streams.push_back(std::move(spec));
   }
   const int64_t net_bytes = 8 * ikdp::kBlockSize;
-  if (src_fs->CreateFileInstant("net", net_bytes,
-                                [&pattern](int64_t b) { return pattern(99, b); }) == nullptr) {
+  if (src_fs->CreateFileInstant("net", net_bytes, ikdp::PatternFill(99)) == nullptr) {
     return cell;
   }
 
@@ -221,7 +216,7 @@ FaultCell RunCell(ikdp::SubmitMode mode, int n, double dev_rate, double loss,
     for (int i = 0; i < n && ok; ++i) {
       ikdp::Inode* ip = dst_fs->Lookup(std::string("d").append(std::to_string(i)));
       ok = ip != nullptr && ip->size == stream_bytes &&
-           dst_fs->VerifyFileInstant(ip, [&pattern, i](int64_t b) { return pattern(i, b); });
+           dst_fs->VerifyFileInstant(ip, ikdp::PatternFill(static_cast<uint64_t>(i)));
     }
     cell.verified = ok;
   }

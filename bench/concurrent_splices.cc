@@ -26,8 +26,6 @@ namespace {
 
 constexpr int64_t kBytes = 4 << 20;
 
-uint8_t Fill(int64_t i) { return static_cast<uint8_t>(i * 3); }
-
 struct Outcome {
   double aggregate_kbs = 0;
   double min_kbs = 0;
@@ -53,7 +51,8 @@ Outcome RunConcurrent(int nsplices, bool shared_disks) {
   std::vector<int64_t> moved(nsplices, -1);
   for (int i = 0; i < nsplices; ++i) {
     const int pair = shared_disks ? 0 : i;
-    src_fs[pair]->CreateFileInstant(std::string("f").append(std::to_string(i)), kBytes, Fill);
+    src_fs[pair]->CreateFileInstant(std::string("f").append(std::to_string(i)), kBytes,
+                                    PatternFill(static_cast<uint64_t>(i)));
     kernel.Spawn("scp" + std::to_string(i), [&, i, pair](Process& p) -> Task<> {
       const std::string src =
           std::string("s").append(std::to_string(pair)) + ":f" + std::to_string(i);
@@ -66,10 +65,17 @@ Outcome RunConcurrent(int nsplices, bool shared_disks) {
     });
   }
   sim.Run();
+  // A row is verified only if every destination holds its source's bytes;
+  // each source has its own seed, so a shared pair's streams cannot pass
+  // for one another.
+  kernel.cache().FlushAllInstant();
   Outcome out;
   out.min_kbs = 1e18;
   for (int i = 0; i < nsplices; ++i) {
-    if (moved[i] != kBytes || done[i] <= 0) {
+    FileSystem* fs = dst_fs[shared_disks ? 0 : i];
+    Inode* ip = fs->Lookup(std::string("g").append(std::to_string(i)));
+    if (moved[i] != kBytes || done[i] <= 0 || ip == nullptr || ip->size != kBytes ||
+        !fs->VerifyFileInstant(ip, PatternFill(static_cast<uint64_t>(i)))) {
       out.ok = false;
       continue;
     }

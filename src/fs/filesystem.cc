@@ -21,7 +21,61 @@ void StorePtr(uint8_t* block, int64_t index, int64_t value) {
   std::memcpy(block + index * 4, &v, 4);
 }
 
+// splitmix64: a bijection on 64-bit words with good avalanche.
+uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+constexpr int64_t kPatternWords = kBlockSize / 8;
+using PatternWords = std::array<uint64_t, kPatternWords>;
+
+const PatternWords& PatternBase() {
+  static const PatternWords base = [] {
+    PatternWords words{};
+    for (size_t w = 0; w < words.size(); ++w) {
+      words[w] = Mix64(w);
+    }
+    return words;
+  }();
+  return base;
+}
+
+// Writes the whole pattern block keyed by `key` to `out`.
+void PatternBlock(uint64_t key, uint8_t* out) {
+  const PatternWords& base = PatternBase();
+  for (size_t w = 0; w < base.size(); ++w) {
+    const uint64_t v = base[w] ^ key;
+    std::memcpy(out + w * 8, &v, 8);
+  }
+}
+
 }  // namespace
+
+BlockFill PatternFill(uint64_t seed) {
+  return [seed_key = Mix64(seed)](int64_t offset, std::span<uint8_t> dst) {
+    const int64_t end = offset + static_cast<int64_t>(dst.size());
+    for (int64_t pos = offset; pos < end;) {
+      const int64_t block = pos / kBlockSize;
+      const int64_t from = pos - block * kBlockSize;
+      const int64_t n = std::min(end - pos, kBlockSize - from);
+      const uint64_t key = Mix64(seed_key + static_cast<uint64_t>(block));
+      uint8_t* out = dst.data() + (pos - offset);
+      if (n == kBlockSize) {
+        PatternBlock(key, out);
+      } else {
+        // Part of a block (only at either end of the slice) is cut from the
+        // whole block, so it always equals the block-aligned fill.
+        std::array<uint8_t, kBlockSize> part{};
+        PatternBlock(key, part.data());
+        std::memcpy(out, part.data() + from, static_cast<size_t>(n));
+      }
+      pos += n;
+    }
+  };
+}
 
 FileSystem::FileSystem(CpuSystem* cpu, BufferCache* cache, BlockDevice* dev, std::string name)
     : cpu_(cpu),

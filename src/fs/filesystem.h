@@ -54,6 +54,14 @@ inline constexpr int64_t kPtrsPerBlock = kBlockSize / 4;
 // untimed helpers call it once per block, straight on the device's store.
 using BlockFill = std::function<void(int64_t offset, std::span<uint8_t> dst)>;
 
+// The content pattern of experiment files: 64-bit word w of file block b is
+// base[w] ^ key(seed, b), with one 8 KB base table per process and key a
+// splitmix64 mix of the seed and the block number.  The mix is a bijection,
+// so no two blocks under one seed are alike (a copy check sees a misplaced,
+// duplicated or reordered block) and distinct seeds start distinct.  Any
+// (offset, length) slice equals the same bytes of the block-aligned fill.
+BlockFill PatternFill(uint64_t seed);
+
 // A per-byte fill: byte i of the file is fill(i).
 template <typename F>
 concept ByteFill = std::is_invocable_r_v<uint8_t, F&, int64_t>;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <span>
 
 #include "src/dev/disk_driver.h"
 #include "src/dev/ram_disk.h"
@@ -17,14 +16,6 @@
 namespace ikdp {
 
 namespace {
-
-// The source file's contents: byte i is a hash of i.
-void FilePattern(int64_t offset, std::span<uint8_t> dst) {
-  for (size_t k = 0; k < dst.size(); ++k) {
-    const int64_t i = offset + static_cast<int64_t>(k);
-    dst[k] = static_cast<uint8_t>((i * 2654435761u) >> 5 & 0xff);
-  }
-}
 
 std::unique_ptr<BlockDevice> MakeDisk(DiskKind kind, CpuSystem* cpu, Simulator* sim,
                                       const char* role) {
@@ -92,7 +83,8 @@ ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {
   // Pre-create the source file directly on the device: the measurement
   // starts with a cold read cache ("we ensured a read cache cold start
   // condition", Section 6.1).
-  Inode* src_ip = src_fs->CreateFileInstant("big", config.file_bytes, FilePattern);
+  const BlockFill pattern = PatternFill(0);
+  Inode* src_ip = src_fs->CreateFileInstant("big", config.file_bytes, pattern);
   if (src_ip == nullptr) {
     return result;
   }
@@ -134,11 +126,12 @@ ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {
   }
 
   // Verify the destination byte-for-byte (after pushing residual delayed
-  // metadata writes straight to the device).
+  // metadata writes straight to the device); every block of the pattern
+  // differs, so a block out of place fails.
   kernel.cache().FlushAllInstant();
   Inode* dst_ip = dst_fs->Lookup("copy");
   if (dst_ip == nullptr || dst_ip->size != config.file_bytes ||
-      !dst_fs->VerifyFileInstant(dst_ip, FilePattern)) {
+      !dst_fs->VerifyFileInstant(dst_ip, pattern)) {
     return result;
   }
 

@@ -82,10 +82,6 @@ struct ClientState {
   std::function<void(BufData, int64_t)> on_recv;
 };
 
-uint8_t ObjectByte(int object, int64_t i) {
-  return static_cast<uint8_t>((i * 131 + object * 29 + 7) & 0xff);
-}
-
 }  // namespace
 
 SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
@@ -104,7 +100,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
   FileSystem* fs = server.MountFs(&disk, "obj");
   for (int i = 0; i < config.n_objects; ++i) {
     fs->CreateFileInstant(std::string("o").append(std::to_string(i)), config.object_bytes,
-                          [i](int64_t j) { return ObjectByte(i, j); });
+                          PatternFill(static_cast<uint64_t>(i) + 1));
   }
 
   // Pre-draw the whole request stream so every mode serves the identical

@@ -1,9 +1,13 @@
 // Unit and property tests for the FFS-like filesystem: directory ops, bmap
 // (direct / indirect / double-indirect), the read/write data path, fsync,
-// allocation contiguity, and the splice-flavoured no-zero-fill mapping.
+// allocation contiguity, the splice-flavoured no-zero-fill mapping, and the
+// block-keyed content pattern (PatternFill) the copy checks rely on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -161,6 +165,102 @@ TEST_F(FsTest, InstantFileVerifiesInPlace) {
   constexpr int64_t kOff = 14 * kBlockSize + 3;
   EXPECT_FALSE(fs_.VerifyFileInstant(
       ip, [](int64_t i) { return static_cast<uint8_t>(Fill(i) ^ (i == kOff ? 1 : 0)); }));
+}
+
+// Block `b` of PatternFill(seed), filled block-aligned in one call.
+std::vector<uint8_t> PatternBlock(uint64_t seed, int64_t b) {
+  std::vector<uint8_t> blk(kBlockSize);
+  PatternFill(seed)(b * kBlockSize, blk);
+  return blk;
+}
+
+TEST(PatternFillTest, NoTwoBlocksAlikeAndSeedsStartDistinct) {
+  // The splice server's objects are PatternFill(i + 1); RunSpliceServer
+  // exposes no filesystem, so their distinctness is checked here.
+  std::set<std::vector<uint8_t>> blocks;
+  for (int64_t b = 0; b < 2048; ++b) {
+    blocks.insert(PatternBlock(0, b));
+  }
+  EXPECT_EQ(blocks.size(), 2048u);
+  std::set<std::vector<uint8_t>> firsts;
+  for (uint64_t seed = 0; seed <= 64; ++seed) {
+    firsts.insert(PatternBlock(seed, 0));
+  }
+  EXPECT_EQ(firsts.size(), 65u);
+}
+
+TEST(PatternFillTest, AnySliceEqualsTheBlockAlignedFill) {
+  constexpr int64_t kBlocks = 6;
+  std::vector<uint8_t> whole;
+  for (int64_t b = 0; b < kBlocks; ++b) {
+    const std::vector<uint8_t> blk = PatternBlock(7, b);
+    whole.insert(whole.end(), blk.begin(), blk.end());
+  }
+  const BlockFill fill = PatternFill(7);
+  auto check = [&](int64_t off, int64_t len) {
+    std::vector<uint8_t> got(static_cast<size_t>(len), 0xa5);
+    fill(off, got);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), whole.begin() + off))
+        << "offset " << off << " length " << len;
+  };
+  // Unaligned heads and tails inside one word, across words and across
+  // blocks, and a short last block.
+  check(3, 2);
+  check(5, 11);
+  check(kBlockSize - 3, 7);
+  check(2 * kBlockSize, 777);
+  check(kBlockSize + 1, 3 * kBlockSize - 2);
+  std::mt19937_64 rng(1);
+  for (int k = 0; k < 500; ++k) {
+    const int64_t off = static_cast<int64_t>(rng() % (kBlocks * kBlockSize));
+    const int64_t len = static_cast<int64_t>(rng() % (kBlocks * kBlockSize - off + 1));
+    check(off, len);
+  }
+}
+
+TEST_F(FsTest, PatternFileWithShortLastBlockRoundTrips) {
+  constexpr int64_t kBytes = 13 * kBlockSize + 777;  // crosses into indirect
+  Inode* ip = fs_.CreateFileInstant("p", kBytes, PatternFill(3));
+  ASSERT_NE(ip, nullptr);
+  EXPECT_TRUE(fs_.VerifyFileInstant(ip, PatternFill(3)));
+  EXPECT_FALSE(fs_.VerifyFileInstant(ip, PatternFill(4)));
+  const std::vector<uint8_t> back = fs_.ReadFileInstant(ip);
+  ASSERT_EQ(static_cast<int64_t>(back.size()), kBytes);
+  for (int64_t b = 0; b * kBlockSize < kBytes; ++b) {
+    const std::vector<uint8_t> blk = PatternBlock(3, b);
+    const int64_t n = std::min<int64_t>(kBlockSize, kBytes - b * kBlockSize);
+    ASSERT_TRUE(std::equal(blk.begin(), blk.begin() + n, back.begin() + b * kBlockSize))
+        << "block " << b;
+  }
+}
+
+// Rearranges blocks 1 and 2 of a fresh 4-block file made with `fill` on the
+// device (swapped, or block 1 copied over block 2) and reports whether the
+// verifier still accepts the file.
+template <typename Fill>
+bool AcceptsRearranged(FileSystem& fs, const std::string& name, Fill fill, bool swap) {
+  Inode* ip = fs.CreateFileInstant(name, 4 * kBlockSize, fill);
+  EXPECT_NE(ip, nullptr);
+  EXPECT_TRUE(fs.VerifyFileInstant(ip, fill));
+  BlockDevice* dev = fs.dev();
+  const std::vector<uint8_t> one = dev->PeekBlock(ip->direct[1]);
+  const std::vector<uint8_t> two = dev->PeekBlock(ip->direct[2]);
+  dev->PokeBlock(ip->direct[2], one);
+  if (swap) {
+    dev->PokeBlock(ip->direct[1], two);
+  }
+  return fs.VerifyFileInstant(ip, fill);
+}
+
+TEST_F(FsTest, VerifyRejectsSwappedOrDuplicatedPatternBlocks) {
+  EXPECT_FALSE(AcceptsRearranged(fs_, "swap", PatternFill(0), /*swap=*/true));
+  EXPECT_FALSE(AcceptsRearranged(fs_, "dup", PatternFill(0), /*swap=*/false));
+  // The copy experiments' former pattern (byte i from bits 5..12 of
+  // i * 2654435761) depends only on i mod 8192, so every block was alike
+  // and it accepted both rearrangements.
+  auto old = [](int64_t i) { return static_cast<uint8_t>((i * 2654435761u) >> 5 & 0xff); };
+  EXPECT_TRUE(AcceptsRearranged(fs_, "old_swap", old, /*swap=*/true));
+  EXPECT_TRUE(AcceptsRearranged(fs_, "old_dup", old, /*swap=*/false));
 }
 
 TEST_F(FsTest, InstantFileReadableThroughTimedPath) {
